@@ -12,6 +12,7 @@ serves as the independent oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable
 
@@ -189,28 +190,95 @@ def inner_product_mc(f1: CylFun, f2: CylFun, n_samples: int, rng: np.random.Gene
 
 
 # ---------------------------------------------------------------------------
-# Subdivision
+# Edge-wise rewriting of monomial sums
 # ---------------------------------------------------------------------------
 
 
-def _subdivide_terms(terms: dict, eid: str, id_a: str, id_b: str) -> dict:
-    out = {}
+def _rewrite_edges(terms: dict, rules: dict) -> dict:
+    """Apply a linear map per edge to a monomial sum, one edge at a time.
+
+    ``rules`` maps an edge id to a rule: a function from one factor
+    (irrep key, m, n) on that edge to its replacement, a list of
+    (weight, {new edge id: factor}).  Edges without a rule keep their
+    factors.  Each rule runs once per distinct factor, and keys merge after
+    every edge, so the work follows the distinct partial monomials rather
+    than the product of the per-edge expansions.
+    """
+    # (factors still to rewrite, key of the rewritten ones) -> coefficient;
+    # keeping the two apart lets a new edge reuse the id of an old one
+    state = {}
     for key, coeff in terms.items():
-        factors = dict(key)
-        fac = factors.pop(eid, None)
-        if fac is None:
-            out[_term_key(factors)] = out.get(_term_key(factors), 0) + coeff
-            continue
+        todo = tuple(item for item in key if item[0] in rules)
+        done = tuple(item for item in key if item[0] not in rules)
+        state[(todo, done)] = state.get((todo, done), 0) + coeff
+    for eid in sorted(rules):  # the order of ``todo``: its head is the next edge
+        rule, seen, nxt = rules[eid], {}, {}
+        for (todo, done), coeff in state.items():
+            if not todo or todo[0][0] != eid:
+                nxt[(todo, done)] = nxt.get((todo, done), 0) + coeff
+                continue
+            fac = todo[0][1]
+            if fac not in seen:
+                seen[fac] = rule(fac)
+            rest, base = todo[1:], dict(done)
+            for weight, new in seen[fac]:
+                k = (rest, _term_key({**base, **new}))
+                nxt[k] = nxt.get(k, 0) + coeff * weight
+        state = nxt
+    return {done: coeff for (_todo, done), coeff in state.items()}
+
+
+def _multiplier_rule(eid: str, left=None, right=None):
+    """Rule for sqrt(d) rho^m_n(h) -> sqrt(d) rho^m_n(L h R) on one edge, that is
+    sum_rs rho(L)^m_r rho(R)^s_n sqrt(d) rho^r_s(h).
+
+    ``left`` and ``right`` map an Irrep to its matrix, None standing for the
+    identity; each runs once per irrep, and a matrix that is not
+    dim x dim for it raises DomainError.
+    """
+    mats = {}
+
+    def rule(fac):
         rho_key, m, n = fac
-        rho = parse_irrep(rho_key)
-        scale = coeff / math.sqrt(rho.dim)
-        for r in range(rho.dim):
-            new = dict(factors)
-            new[id_a] = (rho_key, m, r)
-            new[id_b] = (rho_key, r, n)
-            k = _term_key(new)
-            out[k] = out.get(k, 0) + scale
-    return out
+        if rho_key not in mats:
+            rho = parse_irrep(rho_key)
+            mats[rho_key] = [None if side is None else np.asarray(side(rho))
+                             for side in (left, right)]
+            if any(mat is not None and mat.shape != (rho.dim, rho.dim)
+                   for mat in mats[rho_key]):
+                raise DomainError(f"multiplier is not {rho.dim}x{rho.dim} for {rho_key!r}")
+        lm, rm = mats[rho_key]
+        rows = [(m, 1.0)] if lm is None else list(enumerate(lm[m, :]))
+        cols = [(n, 1.0)] if rm is None else list(enumerate(rm[:, n]))
+        out = [(wl * wr, {eid: (rho_key, r, s)}) for r, wl in rows for s, wr in cols]
+        return [(weight, new) for weight, new in out if weight != 0]
+
+    return rule
+
+
+def _chain_rule(sub_ids):
+    """Rule for an edge that becomes the forward chain ``sub_ids``: a factor
+    sqrt(d) rho^m_n becomes d^-(k-1)/2 sum over k-1 inner indices of the
+    product of sqrt(d) rho factors along the k sub-edges."""
+    k = len(sub_ids)
+
+    def rule(fac):
+        rho_key, m, n = fac
+        dim = parse_irrep(rho_key).dim
+        weight = 1.0 / math.sqrt(dim) ** (k - 1)
+        out = []
+        for inner in itertools.product(range(dim), repeat=k - 1):
+            seq = (m,) + inner + (n,)
+            out.append((weight, {sid: (rho_key, a, b)
+                                 for sid, a, b in zip(sub_ids, seq, seq[1:])}))
+        return out
+
+    return rule
+
+
+# ---------------------------------------------------------------------------
+# Subdivision
+# ---------------------------------------------------------------------------
 
 
 def subdivide_edge(f: CylFun, eid: str, t: float) -> CylFun:
@@ -222,53 +290,23 @@ def subdivide_edge(f: CylFun, eid: str, t: float) -> CylFun:
     """
     if not (0.0 < t < 1.0):
         raise DomainError("breakpoint must be interior")
-    new_graph, (id_a, id_b) = f.graph.split_edge(eid, t)
-    return CylFun(new_graph, f.group, _subdivide_terms(f.terms, eid, id_a, id_b))
-
-
-def _subdivide_edge_exact(f: CylFun, eid: str, loc) -> CylFun:
-    new_graph, (id_a, id_b) = f.graph.split_edge_exact(eid, loc)
-    return CylFun(new_graph, f.group, _subdivide_terms(f.terms, eid, id_a, id_b))
+    new_graph, ids = f.graph.split_edge(eid, t)
+    return CylFun(new_graph, f.group, _rewrite_edges(f.terms, {eid: _chain_rule(ids)}))
 
 
 def refine_for_surface(f: CylFun, surface: OrientedSurface) -> CylFun:
-    """Subdivide edges until each is internal or external for the surface."""
-    out = f
-    changed = True
-    while changed:
-        changed = False
-        for eid, path in list(out.graph.edges.items()):
-            dec = decompose_minimal(path, surface)
-            if len(dec.pieces) > 1:
-                # exact split location at the end of the first piece
-                loc = _loc_of_point(path, dec.pieces[0].path.end)
-                out = _subdivide_edge_exact(out, eid, loc)
-                changed = True
-                break
-    return out
-
-
-def _loc_of_point(path: PolyPath, point):
-    from fractions import Fraction
-
-    from .geometry import _sub
-
-    for i, (a, b) in enumerate(zip(path.vertices, path.vertices[1:])):
-        u = _sub(b, a)
-        w = _sub(point, a)
-        dim = len(u)
-        s = None
-        for d in range(dim):
-            if u[d] != 0:
-                s = w[d] / u[d]
-                break
-        if s is None:
-            continue
-        if all(a[d] + s * u[d] == point[d] for d in range(dim)) and 0 <= s <= 1:
-            if (i, s) == (0, Fraction(0)) or (i == len(path.vertices) - 2 and s == 1):
-                continue  # endpoint of the whole path: not an interior split
-            return (i, s)
-    raise DomainError("point is not an interior point of the path")
+    """Split each edge into the pieces of its minimal decomposition, so that
+    every edge is internal or external for the surface."""
+    pieces = {}
+    for eid, path in f.graph.edges.items():
+        dec = decompose_minimal(path, surface)
+        if len(dec.pieces) > 1:
+            pieces[eid] = [p.path for p in dec.pieces]
+    if not pieces:
+        return f
+    graph, ids = f.graph.split_edges(pieces)
+    rules = {eid: _chain_rule(sub) for eid, sub in ids.items()}
+    return CylFun(graph, f.group, _rewrite_edges(f.terms, rules))
 
 
 # ---------------------------------------------------------------------------
@@ -278,37 +316,12 @@ def _loc_of_point(path: PolyPath, point):
 
 def _refine_onto(f: CylFun, ref_graph: Graph, word_for_edge: dict) -> CylFun:
     """Re-express f on a refinement where each edge maps to a forward chain."""
-    terms = {}
-    for key, coeff in f.terms.items():
-        expansion = [({}, coeff)]
-        for eid in f.graph.edges:
-            fac = dict(key).get(eid)
-            chain = word_for_edge[eid]
-            if fac is None:
-                continue
-            rho_key, m, n = fac
-            rho = parse_irrep(rho_key)
-            k = len(chain)
-            new_expansion = []
-            for factors, c in expansion:
-                # chain of k sub-edges: sum over k-1 internal indices
-                idx_ranges = [range(rho.dim)] * (k - 1)
-                stack = [((), 1.0)]
-                for _ in idx_ranges:
-                    stack = [(idx + (r,), w) for idx, w in stack for r in range(rho.dim)]
-                for idx, _w in stack:
-                    seq = (m,) + idx + (n,)
-                    nf = dict(factors)
-                    for (sub_id, sign), (mm, nn) in zip(chain, zip(seq, seq[1:])):
-                        if sign != 1:
-                            raise DomainError("refinement reversed an edge chain")
-                        nf[sub_id] = (rho_key, mm, nn)
-                    new_expansion.append((nf, c / math.sqrt(rho.dim) ** (k - 1)))
-            expansion = new_expansion
-        for factors, c in expansion:
-            kk = _term_key(factors)
-            terms[kk] = terms.get(kk, 0) + c
-    return CylFun(ref_graph, f.group, terms)
+    used = {eid for key in f.terms for eid, _fac in key}
+    if any(sign != 1 for eid in used for _sub, sign in word_for_edge[eid]):
+        raise DomainError("refinement reversed an edge chain")
+    rules = {eid: _chain_rule([sub for sub, _sign in word])
+             for eid, word in word_for_edge.items()}
+    return CylFun(ref_graph, f.group, _rewrite_edges(f.terms, rules))
 
 
 def align_to_common(f1: CylFun, f2: CylFun):

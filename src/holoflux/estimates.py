@@ -18,7 +18,8 @@ import numpy as np
 
 from .cylindrical import (
     CylFun,
-    _term_key,
+    _multiplier_rule,
+    _rewrite_edges,
     align_to_common,
     gsn,
     inner_product_exact,
@@ -33,7 +34,6 @@ from .liegroup import (
     character,
     exp_alg,
     haar_sample,
-    parse_irrep,
 )
 from .weylops import apply_weyl, weyl_constant
 
@@ -221,42 +221,31 @@ def chain_gsn(rho: Irrep, n_edges: int, dim: int = 3) -> CylFun:
 def insert_left_matrix(f: CylFun, eid: str, mat: np.ndarray) -> CylFun:
     """Left-multiply the holonomy inside every factor on one edge:
     rho^m_n(M h) = sum_r M^m_r rho^r_n(h)."""
-    terms = {}
-    for key, coeff in f.terms.items():
-        fac = dict(key)
-        if eid not in fac:
-            terms[key] = terms.get(key, 0) + coeff
-            continue
-        rho_key, m, n = fac[eid]
-        dim = parse_irrep(rho_key).dim
-        for r in range(dim):
-            w = mat[m, r]
-            if w == 0:
-                continue
-            nf = dict(fac)
-            nf[eid] = (rho_key, r, n)
-            kk = _term_key(nf)
-            terms[kk] = terms.get(kk, 0) + coeff * w
-    return CylFun(f.graph, f.group, terms)
+    rule = _multiplier_rule(eid, lambda rho: mat)
+    return CylFun(f.graph, f.group, _rewrite_edges(f.terms, {eid: rule}))
 
 
 def _signed_basis(basis: LieBasis):
     return list(basis.elements) + [-x for x in basis.elements]
 
 
-def _assignment_state(t_state: CylFun, rho: Irrep, signed, edge_ids, assignment,
-                      t: float, s_base: int) -> CylFun:
+def _winding_multipliers(rho: Irrep, signed, t: float) -> dict:
+    """sign -> [rho(e^{sign t X}) for X in the signed basis], for sign = +-1."""
+    return {sign: [rho.evaluate(exp_alg(x, sign * t)) for x in signed] for sign in (1, -1)}
+
+
+def _assignment_state(t_state: CylFun, mults: dict, edge_ids, assignment,
+                      s_base: int) -> CylFun:
     """Multiplier-inserted chain for one winding assignment.
 
-    Edge j (j = 1..J) receives the left factor rho(e^{(-1)^(j+s) X_(rho(j)) t}).
+    Edge j (j = 1..J) receives the left factor rho(e^{(-1)^(j+s) X_(rho(j)) t}),
+    looked up in the ``_winding_multipliers`` table.
     """
-    out = t_state
+    rules = {}
     for j, eid in enumerate(edge_ids[1:], start=1):
-        sign = (-1) ** (j + s_base)
-        x = signed[assignment[j - 1]]
-        mat = rho.evaluate(exp_alg(x, sign * t))
-        out = insert_left_matrix(out, eid, mat)
-    return out
+        mat = mults[(-1) ** (j + s_base)][assignment[j - 1]]
+        rules[eid] = _multiplier_rule(eid, lambda rho, mat=mat: mat)
+    return CylFun(t_state.graph, t_state.group, _rewrite_edges(t_state.terms, rules))
 
 
 def winding_average_check(rho: Irrep, basis: LieBasis, j_factors: int, t: float,
@@ -276,10 +265,10 @@ def winding_average_check(rho: Irrep, basis: LieBasis, j_factors: int, t: float,
         raise ValueError("assignment enumeration exceeds the cap")
     t_state = chain_gsn(rho, j_factors + 1)
     edge_ids = sorted(t_state.graph.edges)
-    signed = _signed_basis(basis)
+    mults = _winding_multipliers(rho, _signed_basis(basis), t)
     acc = {}
     for assignment in itertools.product(range(two_n), repeat=j_factors):
-        state = _assignment_state(t_state, rho, signed, edge_ids, assignment, t, s_base)
+        state = _assignment_state(t_state, mults, edge_ids, assignment, s_base)
         for key, coeff in state.terms.items():
             acc[key] = acc.get(key, 0) + coeff / n_assign
     xi_t = xi(rho, basis, t)
@@ -468,14 +457,14 @@ def splitting_witness(rho: Irrep, basis: LieBasis, t_grid,
         any_admissible = True
         t_state = chain_gsn(rho, j + 1)
         edge_ids = sorted(t_state.graph.edges)
-        signed = _signed_basis(basis)
+        mults = _winding_multipliers(rho, _signed_basis(basis), t)
         witness_max = 0.0
         overlap_min = math.inf
         nonconst_max = 0.0
         acc = {}
         n_assign = signed_count**j
         for assignment in itertools.product(range(signed_count), repeat=j):
-            moved = _assignment_state(t_state, rho, signed, edge_ids, assignment, t, s_base)
+            moved = _assignment_state(t_state, mults, edge_ids, assignment, s_base)
             # f = 1 + T: <1, (w_t - 1) f> = <1, moved> - <1, T>
             witness = abs(moved.constant_part - t_state.constant_part)
             witness_max = max(witness_max, witness)

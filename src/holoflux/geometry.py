@@ -66,10 +66,6 @@ def _sub(p: Point, q: Point) -> Point:
     return tuple(a - b for a, b in zip(p, q))
 
 
-def _add(p: Point, q: Point) -> Point:
-    return tuple(a + b for a, b in zip(p, q))
-
-
 def _scale(p: Point, s: Fraction) -> Point:
     return tuple(s * a for a in p)
 
@@ -80,10 +76,6 @@ def _dot(p: Point, q: Point) -> Fraction:
 
 def _lerp(a: Point, b: Point, s: Fraction) -> Point:
     return tuple(x + s * (y - x) for x, y in zip(a, b))
-
-
-def _is_zero(p: Point) -> bool:
-    return all(c == 0 for c in p)
 
 
 def _parallel(u: Point, v: Point) -> bool:
@@ -657,10 +649,6 @@ class Decomposition:
         return [p.status for p in self.pieces]
 
 
-def _surface_membership(surface: OrientedSurface, p: Point) -> bool:
-    return surface.contains(p)
-
-
 def _cut_locations(path: PolyPath, surface: OrientedSurface):
     """All candidate cut locations (segment, s) where membership may change."""
     locs = set()
@@ -705,7 +693,7 @@ def decompose_minimal(path: PolyPath, surface: OrientedSurface) -> Decomposition
         inside = None
         for seg, s in mid:
             p = _lerp(path.vertices[seg], path.vertices[seg + 1], s)
-            val = _surface_membership(surface, p)
+            val = surface.contains(p)
             if inside is None:
                 inside = val
             elif inside != val:
@@ -721,7 +709,7 @@ def decompose_minimal(path: PolyPath, surface: OrientedSurface) -> Decomposition
     for idx in range(1, len(locs) - 1):
         seg, s = locs[idx]
         p = _lerp(path.vertices[seg], path.vertices[seg + 1], s)
-        inside = _surface_membership(surface, p)
+        inside = surface.contains(p)
         nxt_status = statuses[idx]
         same = nxt_status == cur_status
         matches = (inside and cur_status == "internal") or (
@@ -895,14 +883,27 @@ class Graph:
         return self.split_edge_exact(edge_id, (seg, s))
 
     def split_edge_exact(self, edge_id: str, loc):
-        path = self.edges[edge_id]
-        first, second = path.split_at(*loc)
-        new_edges = dict(self.edges)
-        del new_edges[edge_id]
-        id_a, id_b = edge_id + ".a", edge_id + ".b"
-        new_edges[id_a] = first
-        new_edges[id_b] = second
-        return Graph(new_edges, validate=False), (id_a, id_b)
+        graph, ids = self.split_edges({edge_id: self.edges[edge_id].split_at(*loc)})
+        return graph, tuple(ids[edge_id])
+
+    def split_edges(self, pieces: dict):
+        """Replace edges by the forward chains of sub-paths that tile them.
+
+        ``pieces`` maps an edge id e to its k >= 2 pieces in order; they are
+        named e.a, e.b.a, e.b.b.a, ..., e.b...b, the ids that splitting off
+        the first piece k - 1 times gives.  Each chain takes its edge's place
+        in the edge order.  Returns (graph', {edge id: piece ids}).
+        """
+        new_edges, ids = {}, {}
+        for eid, path in self.edges.items():
+            if eid not in pieces:
+                new_edges[eid] = path
+                continue
+            k = len(pieces[eid])
+            names = [eid + ".b" * i + ".a" for i in range(k - 1)] + [eid + ".b" * (k - 1)]
+            new_edges.update(zip(names, pieces[eid]))
+            ids[eid] = names
+        return Graph(new_edges, validate=False), ids
 
     def endpoint_degree(self, v: Point) -> int:
         deg = 0

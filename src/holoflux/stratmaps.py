@@ -56,6 +56,14 @@ class StratMapError(ValueError):
     """Invalid constructor parameters or violated sampling validation."""
 
 
+def _norm(v) -> float:
+    """Euclidean norm of one point, equal bit for bit to np.linalg.norm(v)
+    (both take the square root of v.dot(v)), without its dispatch cost on
+    the per-point paths."""
+    v = np.asarray(v, dtype=float)
+    return math.sqrt(float(v.dot(v)))
+
+
 @dataclass
 class Piece:
     name: str
@@ -78,26 +86,31 @@ class StratMap:
     params: dict = field(default_factory=dict)
 
     def forward(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if not self.in_support_closure(x):
-            return x
-        for piece in self.pieces:
-            if piece.contains(x):
-                return np.asarray(piece.apply(x), dtype=float)
-        return x
+        return self._apply(np.asarray(x, dtype=float), self.pieces)
 
     def inverse(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if not self.in_support_closure(y):
-            return y
-        for piece in self.inv_pieces:
-            if piece.contains(y):
-                return np.asarray(piece.apply(y), dtype=float)
-        return y
+        return self._apply(np.asarray(y, dtype=float), self.inv_pieces)
+
+    def _locate(self, x: np.ndarray, pieces: list):
+        """The first of `pieces` whose closed region holds x, or None."""
+        if self.in_support_closure(x):
+            for piece in pieces:
+                if piece.contains(x):
+                    return piece
+        return None
+
+    def _apply(self, x: np.ndarray, pieces: list) -> np.ndarray:
+        piece = self._locate(x, pieces)
+        return x if piece is None else np.asarray(piece.apply(x), dtype=float)
 
     def in_support_closure(self, x) -> bool:
+        # per-coordinate float compares: the same test as the array form,
+        # without numpy's per-call overhead on one 2- or 3-vector
         lo, hi = self.bbox
-        return bool(np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12))
+        for l, v, u in zip(lo.tolist(), np.asarray(x, dtype=float).tolist(), hi.tolist()):
+            if not (l - 1e-12 <= v <= u + 1e-12):
+                return False
+        return True
 
     def pieces_at(self, x):
         """Evaluations of every forward piece whose closed region holds x,
@@ -109,12 +122,8 @@ class StratMap:
         return vals
 
     def piece_name(self, x) -> str:
-        x = np.asarray(x, dtype=float)
-        if self.in_support_closure(x):
-            for piece in self.pieces:
-                if piece.contains(x):
-                    return piece.name
-        return "identity"
+        piece = self._locate(np.asarray(x, dtype=float), self.pieces)
+        return "identity" if piece is None else piece.name
 
     def inverted(self) -> "StratMap":
         return StratMap(
@@ -250,7 +259,7 @@ class EuclideanGauge:
         self.radius = float(radius)
 
     def __call__(self, x) -> float:
-        return float(np.linalg.norm(x)) / self.radius
+        return _norm(x) / self.radius
 
     def support_point(self, direction, level: float = 1.0) -> np.ndarray:
         d = np.asarray(direction, dtype=float)
@@ -548,24 +557,24 @@ def rotation_map(x_gen: np.ndarray, r1: float, r2: float) -> StratMap:
 
     def fwd_annulus(x):
         x = np.asarray(x, dtype=float)
-        s = ramp(np.linalg.norm(x))
+        s = ramp(_norm(x))
         if s == 0.0:
             return x
         return rot(s) @ x
 
     def inv_annulus_fn(y):
         y = np.asarray(y, dtype=float)
-        s = ramp(np.linalg.norm(y))
+        s = ramp(_norm(y))
         if s == 0.0:
             return y
         return rot(-s) @ y
 
-    core = Piece("core", lambda x: np.linalg.norm(x) <= r2,
+    core = Piece("core", lambda x: _norm(x) <= r2,
                  lambda x: full @ np.asarray(x, dtype=float))
-    annulus = Piece("annulus", lambda x: r2 <= np.linalg.norm(x) <= r1, fwd_annulus)
-    inv_core = Piece("core", lambda y: np.linalg.norm(y) <= r2,
+    annulus = Piece("annulus", lambda x: r2 <= _norm(x) <= r1, fwd_annulus)
+    inv_core = Piece("core", lambda y: _norm(y) <= r2,
                      lambda y: full_inv @ np.asarray(y, dtype=float))
-    inv_annulus = Piece("annulus", lambda y: r2 <= np.linalg.norm(y) <= r1, inv_annulus_fn)
+    inv_annulus = Piece("annulus", lambda y: r2 <= _norm(y) <= r1, inv_annulus_fn)
 
     def boundary_sampler(rng, count):
         pts = []
@@ -718,13 +727,16 @@ def bump_map(tau1: float, tau2: float, eps: float, a: float, n: int,
             x = pt[axis_x]
             if not (c_lo <= x <= c_hi):
                 return False
+            y = yval(pt)
+            # the forward-side row test needs no z, so it runs first
+            if forward_side and not (r_lo <= y <= r_hi):
+                return False
             if z_axes:
                 rz = z_radius(pt)
                 if not (z_lo <= rz <= z_hi):
                     return False
-            y = yval(pt)
             if forward_side:
-                return r_lo <= y <= r_hi
+                return True
             # image-side row bounds: the strip edges travel with the lift,
             # the box edges stay put
             off = shift(x) * zone_g(pt)
@@ -936,16 +948,16 @@ def verify_stratified(m: StratMap, samples: int, rng: np.random.Generator) -> di
         vals = m.pieces_at(pt)
         for i in range(len(vals)):
             for j in range(i + 1, len(vals)):
-                boundary_max = max(boundary_max, float(np.linalg.norm(vals[i] - vals[j])))
+                boundary_max = max(boundary_max, _norm(vals[i] - vals[j]))
     roundtrip_max = 0.0
     jac_min = math.inf
     h = 1e-6
     for _ in range(samples):
         x = lo + rng.uniform(size=m.dim) * span
         y = m.forward(x)
-        roundtrip_max = max(roundtrip_max, float(np.linalg.norm(m.inverse(y) - x)))
+        roundtrip_max = max(roundtrip_max, _norm(m.inverse(y) - x))
         z = m.inverse(x)
-        roundtrip_max = max(roundtrip_max, float(np.linalg.norm(m.forward(z) - x)))
+        roundtrip_max = max(roundtrip_max, _norm(m.forward(z) - x))
         name = m.piece_name(x)
         if name != "identity":
             # Jacobian only when the whole stencil stays in one piece
@@ -969,7 +981,7 @@ def verify_stratified(m: StratMap, samples: int, rng: np.random.Generator) -> di
         y = m.forward(x)
         if not np.array_equal(y, x):
             support_violations += 1
-            outside_max = max(outside_max, float(np.linalg.norm(y - x)))
+            outside_max = max(outside_max, _norm(y - x))
     return {
         "boundary_max_mismatch": boundary_max,
         "roundtrip_max": roundtrip_max,

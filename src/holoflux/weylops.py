@@ -2,8 +2,9 @@
 
 A Weyl operator is the pull-back of the flux action: on an external edge
 carrying the factor sqrt(d) rho^m_n, it inserts the left multiplier
-rho(d(start)^sigma_out) and the right multiplier rho(d(end)^sigma_in), both
-expanded symbolically into monomials, so every operator identity below is an
+rho(d(start)^sigma_out) and the right multiplier rho(d(end)^sigma_in).  The
+multipliers are applied edge by edge, merging monomials after each edge, and
+expanded symbolically, so every operator identity below is an
 exact-arithmetic statement.  Orientation reversal of the surface gives the
 adjoint (equivalently, inverse labels).  Graphomorphisms act by relabeling
 the underlying graph; gauge transforms insert vertex factors.
@@ -23,7 +24,7 @@ from .connections import (
     edge_status,
     quasi_flux,
 )
-from .cylindrical import CylFun, _term_key, refine_for_surface
+from .cylindrical import CylFun, _multiplier_rule, _rewrite_edges, refine_for_surface
 from .geometry import (
     AffineMap,
     Graph,
@@ -31,9 +32,9 @@ from .geometry import (
     PolyPath,
     map_path,
     map_surface,
-    sigma_eval,
+    sigma_pair,
 )
-from .liegroup import GroupElement, exp_alg, identity, parse_irrep
+from .liegroup import GroupElement, exp_alg, identity
 
 __all__ = [
     "WeylDescriptor",
@@ -102,47 +103,20 @@ def apply_weyl(w: WeylDescriptor, f: CylFun) -> CylFun:
     """
     surface = w.effective_surface()
     f = refine_for_surface(f, surface)
-    graph = f.graph
-    # per-edge multipliers by irrep, computed lazily
-    edge_sigma = {}
-    for eid, path in graph.edges.items():
-        status = edge_status(path, surface)
-        if status == "internal":
-            edge_sigma[eid] = None
-        else:
-            edge_sigma[eid] = (
-                sigma_eval(surface, path, "outgoing"),
-                sigma_eval(surface, path, "incoming"),
-            )
-    new_terms = {}
-    for key, coeff in f.terms.items():
-        expansion = [({}, coeff)]
-        for eid, fac in key:
-            rho_key, m, n = fac
-            sig = edge_sigma[eid]
-            if sig is None or sig == (0, 0):
-                for factors, _c in expansion:
-                    factors[eid] = fac
-                continue
-            rho = parse_irrep(rho_key)
-            path = graph.edges[eid]
-            left = rho.evaluate(w.label.at(path.start).power(sig[0]))
-            right = rho.evaluate(w.label.at(path.end).power(sig[1]))
-            new_expansion = []
-            for factors, c in expansion:
-                for r in range(rho.dim):
-                    for s in range(rho.dim):
-                        weight = left[m, r] * right[s, n]
-                        if weight == 0:
-                            continue
-                        nf = dict(factors)
-                        nf[eid] = (rho_key, r, s)
-                        new_expansion.append((nf, c * weight))
-            expansion = new_expansion
-        for factors, c in expansion:
-            kk = _term_key(factors)
-            new_terms[kk] = new_terms.get(kk, 0) + c
-    return CylFun(graph, f.group, new_terms)
+    rules = {}
+    for eid, path in f.graph.edges.items():
+        if edge_status(path, surface) == "internal":
+            continue
+        sig_out, sig_in = sigma_pair(surface, path)
+        if (sig_out, sig_in) != (0, 0):
+            rules[eid] = _multiplier_rule(eid, _rep_of(w.label.at(path.start).power(sig_out)),
+                                          _rep_of(w.label.at(path.end).power(sig_in)))
+    return CylFun(f.graph, f.group, _rewrite_edges(f.terms, rules))
+
+
+def _rep_of(g: GroupElement):
+    """The multiplier side rho -> rho(g)."""
+    return lambda rho: rho.evaluate(g)
 
 
 def apply_weyl_connection(w: WeylDescriptor, conn: RestrictedConnection) -> RestrictedConnection:
@@ -351,37 +325,12 @@ class GaugeTransform:
 def apply_gauge(gt: GaugeTransform, f: CylFun) -> CylFun:
     """Insert rho(g(start)^-1) on the left and rho(g(end)) on the right of
     every edge factor; unitary for the exact inner product."""
-    graph = f.graph
-    new_terms = {}
-    for key, coeff in f.terms.items():
-        expansion = [({}, coeff)]
-        for eid, fac in key:
-            rho_key, m, n = fac
-            rho = parse_irrep(rho_key)
-            path = graph.edges[eid]
-            gl = gt.at(path.start)
-            gr = gt.at(path.end)
-            if gl.is_identity() and gr.is_identity():
-                for factors, _c in expansion:
-                    factors[eid] = fac
-                continue
-            left = rho.evaluate(gl.inverse())
-            right = rho.evaluate(gr)
-            new_expansion = []
-            for factors, c in expansion:
-                for r in range(rho.dim):
-                    for s in range(rho.dim):
-                        weight = left[m, r] * right[s, n]
-                        if weight == 0:
-                            continue
-                        nf = dict(factors)
-                        nf[eid] = (rho_key, r, s)
-                        new_expansion.append((nf, c * weight))
-            expansion = new_expansion
-        for factors, c in expansion:
-            kk = _term_key(factors)
-            new_terms[kk] = new_terms.get(kk, 0) + c
-    return CylFun(graph, f.group, new_terms)
+    rules = {}
+    for eid, path in f.graph.edges.items():
+        gl, gr = gt.at(path.start), gt.at(path.end)
+        if not (gl.is_identity() and gr.is_identity()):
+            rules[eid] = _multiplier_rule(eid, _rep_of(gl.inverse()), _rep_of(gr))
+    return CylFun(f.graph, f.group, _rewrite_edges(f.terms, rules))
 
 
 def conjugate_label_by_gauge(gt: GaugeTransform, w: WeylDescriptor) -> WeylDescriptor:

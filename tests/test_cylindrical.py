@@ -1,8 +1,11 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoflux.connections import RestrictedConnection, holonomy, random_connection
 from holoflux.cylindrical import (
@@ -18,8 +21,19 @@ from holoflux.cylindrical import (
     orthogonality_predicate,
     subdivide_edge,
 )
-from holoflux.geometry import Graph, PolyPath
+from holoflux.connections import edge_status
+from holoflux.estimates import insert_left_matrix
+from holoflux.geometry import (
+    Graph,
+    OrientedSurface,
+    PolyPath,
+    Simplex,
+    build_graph,
+    decompose_minimal,
+    sigma_eval,
+)
 from holoflux.liegroup import Irrep, haar_sample, identity, parse_irrep
+from holoflux.weylops import GaugeTransform, apply_gauge, apply_weyl, weyl_constant
 
 HALF = "su2:1/2"
 ONE = "su2:1"
@@ -298,3 +312,199 @@ def test_norm_of_sum():
     t2 = gsn(g, "su2", {"e0": (HALF, 0, 1)})
     f = t1 + t2.scale(2.0)
     assert norm_l2(f) == pytest.approx(math.sqrt(5.0))
+
+
+# ---------------------------------------------------------------------------
+# edge-wise rewriting against the brute-force expansion
+# ---------------------------------------------------------------------------
+
+PLANE = OrientedSurface(
+    [Simplex([(0, -9, -9), (0, 20, -9), (0, -9, 20)], normal=(1, 0, 0))],
+    piece_ids=("p0",),
+)
+# edge shapes at height y: crossing the plane x = 0, starting on it, or
+# running inside it for a while (three pieces against the plane)
+EDGE_SHAPES = (
+    lambda y: [(-1, y, 0), (1, y, 0)],
+    lambda y: [(-2, y, 0), (2, y, 0)],
+    lambda y: [(0, y, 0), (1, y, 0)],
+    lambda y: [(-1, y, 0), (0, y, 0), (0, y, 1), (1, y, 1)],
+)
+SPIN_KEYS = ("su2:0", HALF, ONE)
+
+
+def expand_reference(terms, rewrite):
+    """Multiply out every edge of each monomial, then merge equal keys.
+
+    rewrite(eid, factor) gives the replacement list [(weight, {new id:
+    factor})], or None to keep the factor.
+    """
+    out = {}
+    for key, coeff in terms.items():
+        expansion = [({}, coeff)]
+        for eid, fac in key:
+            repl = rewrite(eid, fac) or [(1.0, {eid: fac})]
+            expansion = [({**f, **new}, c * w) for f, c in expansion for w, new in repl]
+        for factors, c in expansion:
+            k = tuple(sorted(factors.items()))
+            out[k] = out.get(k, 0) + c
+    return out
+
+
+def multiplier_reference(eid, fac, left, right):
+    rho_key, m, n = fac
+    dim = parse_irrep(rho_key).dim
+    return [(left[m, r] * right[s, n], {eid: (rho_key, r, s)})
+            for r in range(dim) for s in range(dim)]
+
+
+def chain_reference(sub_ids, fac):
+    rho_key, m, n = fac
+    dim = parse_irrep(rho_key).dim
+    k = len(sub_ids)
+    out = []
+    for inner in itertools.product(range(dim), repeat=k - 1):
+        seq = (m,) + inner + (n,)
+        out.append((dim ** (-(k - 1) / 2),
+                    {s: (rho_key, a, b) for s, a, b in zip(sub_ids, seq, seq[1:])}))
+    return out
+
+
+def assert_terms_close(got, expected):
+    keys = set(got) | set(expected)
+    worst = max((abs(got.get(k, 0) - expected.get(k, 0)) for k in keys), default=0.0)
+    assert worst <= 1e-12
+
+
+@st.composite
+def graph_states(draw, min_edges=1):
+    """A random state on 1-3 edges: spins 0, 1/2, 1 and trivial factors
+    mixed across 1-4 monomials."""
+    shapes = draw(st.lists(st.sampled_from(range(len(EDGE_SHAPES))),
+                           min_size=min_edges, max_size=3))
+    graph = Graph.from_paths([PolyPath(EDGE_SHAPES[s](y)) for y, s in enumerate(shapes)])
+    monos = []
+    for _ in range(draw(st.integers(1, 4))):
+        factors = {}
+        for eid in graph.edges:
+            rho_key = draw(st.sampled_from((None,) + SPIN_KEYS))
+            if rho_key is not None:
+                dim = parse_irrep(rho_key).dim
+                factors[eid] = (rho_key, draw(st.integers(0, dim - 1)),
+                                draw(st.integers(0, dim - 1)))
+        coeff = complex(draw(st.floats(-2, 2)), draw(st.floats(-2, 2)))
+        monos.append((coeff, factors))
+    return cylfun(graph, "su2", monos)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_states(), st.integers(0, 2**32 - 1))
+def test_apply_weyl_matches_reference(f, seed):
+    w = weyl_constant(PLANE, haar_sample(np.random.default_rng(seed), "su2"))
+    paths, sub_ids = {}, {}
+    for eid, path in f.graph.edges.items():
+        pieces = [p.path for p in decompose_minimal(path, PLANE).pieces]
+        k = len(pieces)
+        ids = [eid] if k == 1 else (
+            [eid + ".b" * i + ".a" for i in range(k - 1)] + [eid + ".b" * (k - 1)])
+        paths.update(zip(ids, pieces))
+        if k > 1:
+            sub_ids[eid] = ids
+    refined = expand_reference(
+        f.terms, lambda eid, fac: chain_reference(sub_ids[eid], fac) if eid in sub_ids else None)
+
+    def multiply(eid, fac):
+        path = paths[eid]
+        if edge_status(path, PLANE) == "internal":
+            return None
+        rho = parse_irrep(fac[0])
+        left = rho.evaluate(w.label.at(path.start).power(sigma_eval(PLANE, path, "outgoing")))
+        right = rho.evaluate(w.label.at(path.end).power(sigma_eval(PLANE, path, "incoming")))
+        return multiplier_reference(eid, fac, left, right)
+
+    out = apply_weyl(w, f)
+    assert {e: p.vertices for e, p in out.graph.edges.items()} == {
+        e: p.vertices for e, p in paths.items()}
+    assert_terms_close(out.terms, expand_reference(refined, multiply))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_states(), st.integers(0, 2**32 - 1))
+def test_apply_gauge_matches_reference(f, seed):
+    rng = np.random.default_rng(seed)
+    points = sorted(f.graph.vertices())
+    # leave some vertices at the identity
+    gt = GaugeTransform("su2", {p: haar_sample(rng, "su2") for p in points[::2]})
+
+    def multiply(eid, fac):
+        path = f.graph.edges[eid]
+        rho = parse_irrep(fac[0])
+        gl, gr = gt.at(path.start), gt.at(path.end)
+        if gl.is_identity() and gr.is_identity():
+            return None
+        return multiplier_reference(eid, fac, rho.evaluate(gl.inverse()), rho.evaluate(gr))
+
+    assert_terms_close(apply_gauge(gt, f).terms, expand_reference(f.terms, multiply))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_states(), st.sampled_from((HALF, ONE)), st.integers(0, 2**32 - 1))
+def test_insert_left_matrix_matches_reference(f, rho_key, seed):
+    rng = np.random.default_rng(seed)
+    eid = sorted(f.graph.edges)[0]
+    # the inserted matrix fits one irrep: keep the monomials it can act on
+    f = cylfun(f.graph, "su2", [(c, m) for c, m in f.monomials()
+                                if m.get(eid, (rho_key,))[0] == rho_key])
+    dim = parse_irrep(rho_key).dim
+    mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    expected = expand_reference(
+        f.terms,
+        lambda e, fac: multiplier_reference(e, fac, mat, np.eye(dim)) if e == eid else None)
+    assert_terms_close(insert_left_matrix(f, eid, mat).terms, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_states(), st.integers(0, 2), st.sampled_from((0.25, 0.5, 0.8)))
+def test_subdivide_edge_matches_reference(f, pick, t):
+    eid = sorted(f.graph.edges)[pick % len(f.graph.edges)]
+    ids = [eid + ".a", eid + ".b"]
+    out = subdivide_edge(f, eid, t)
+    assert set(out.graph.edges) == set(f.graph.edges) - {eid} | set(ids)
+    expected = expand_reference(
+        f.terms, lambda e, fac: chain_reference(ids, fac) if e == eid else None)
+    assert_terms_close(out.terms, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_states(), graph_states())
+def test_align_to_common_matches_reference(f1, f2):
+    ids1, ids2 = list(f1.graph.edges), list(f2.graph.edges)
+    paths = [f1.graph.edges[e] for e in ids1] + [f2.graph.edges[e] for e in ids2]
+    ref_graph, words = build_graph(paths)
+    a1, a2 = align_to_common(f1, f2)
+    for f, ids, ws, out in ((f1, ids1, words, a1), (f2, ids2, words[len(ids1):], a2)):
+        chains = {eid: [sub for sub, _sign in w] for eid, w in zip(ids, ws)}
+        assert set(out.graph.edges) == set(ref_graph.edges)
+        expected = expand_reference(f.terms, lambda e, fac: chain_reference(chains[e], fac))
+        assert_terms_close(out.terms, expected)
+
+
+def test_align_when_a_new_edge_reuses_an_old_id():
+    """f1's second edge is 'e1'; the common refinement calls the segment
+    (1,0)-(2,0) of f1's first edge 'e1' too, and only the old one may be
+    rewritten as f1's second edge."""
+    rng = np.random.default_rng(11)
+    coarse_graph = Graph.from_paths([PolyPath([(0, 0), (2, 0)]), PolyPath([(2, 0), (3, 0)])])
+    f1 = cylfun(coarse_graph, "su2", [
+        (0.8 - 0.3j, {"e0": (HALF, 0, 1), "e1": (ONE, 2, 0)}),
+        (1.1j, {"e0": (ONE, 1, 1), "e1": (HALF, 1, 0)}),
+        (-0.4, {"e1": (ONE, 0, 2)}),
+    ])
+    f2 = gsn(Graph.from_paths([PolyPath([(1, 0), (3, 0)])]), "su2", {"e0": (HALF, 0, 0)})
+    a1, _a2 = align_to_common(f1, f2)
+    assert a1.graph.edges["e1"].vertices == PolyPath([(1, 0), (2, 0)]).vertices
+    for _ in range(20):
+        c = random_connection(a1.graph, "su2", rng)
+        coarse = RestrictedConnection(coarse_graph, "su2",
+                                      {"e0": c("e0") @ c("e1"), "e1": c("e2")})
+        assert abs(evaluate(a1, c) - evaluate(f1, coarse)) <= 1e-12

@@ -119,6 +119,25 @@ def test_winding_average_cap():
         winding_average_check(HALF, BASIS, 10, 0.1, cap=10**4)
 
 
+def test_assignment_state_inserts_the_alternating_multipliers():
+    from holoflux.cylindrical import norm_l2
+    from holoflux.estimates import _assignment_state, _signed_basis, _winding_multipliers
+    from holoflux.liegroup import exp_alg
+
+    t, s_base, assignment = 0.3, 1, (4, 1, 0, 5)
+    signed = _signed_basis(BASIS)
+    t_state = chain_gsn(ONE, len(assignment) + 1)
+    edge_ids = sorted(t_state.graph.edges)
+    state = _assignment_state(t_state, _winding_multipliers(ONE, signed, t), edge_ids,
+                              assignment, s_base)
+    expected = t_state
+    for j, eid in enumerate(edge_ids[1:], start=1):
+        x = signed[assignment[j - 1]]
+        expected = insert_left_matrix(
+            expected, eid, ONE.evaluate(exp_alg(x, (-1) ** (j + s_base) * t)))
+    assert norm_l2(state - expected) <= 1e-12
+
+
 def test_insert_left_matrix_matches_evaluation():
     from holoflux.connections import RestrictedConnection
     from holoflux.cylindrical import evaluate
@@ -210,6 +229,16 @@ def test_splitting_witness_deterministic():
 def test_splitting_witness_grid_too_coarse():
     with pytest.raises(ValueError):
         splitting_witness(HALF, BASIS, t_grid=[2.0], tau2=0.3, tau4=0.05, max_j=4)
+
+
+def test_insert_left_matrix_rejects_a_matrix_of_the_wrong_size():
+    from holoflux.connections import DomainError
+
+    for rho, size in ((ONE, 2), (HALF, 3)):
+        t_state = chain_gsn(rho, 2)
+        eid = sorted(t_state.graph.edges)[1]
+        with pytest.raises(DomainError):
+            insert_left_matrix(t_state, eid, np.eye(size))
 
 
 def test_trivial_state_zero_witness():
