@@ -6,10 +6,10 @@ Usage:
     holoflux --emit-scene crossing
 
 Config files are JSON objects {"schema": 1, "suite": ..., "seed": ...,
-"scene": path-or-null, "params": {...}, "out": path}.  Command-line flags
-override config fields.  Exit codes: 0 all checks pass, 1 at least one check
-failed, 2 usage or I/O error.  Identical config and seed give byte-identical
-reports apart from the wallclock field.
+"params": {...}, "out": path}; no suite reads a scene, so a non-null "scene"
+exits 2.  Command-line flags override config fields.  Exit codes: 0 all
+checks pass, 1 at least one check failed, 2 usage or I/O error.  Identical
+config and seed give byte-identical reports apart from the wallclock field.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .scene import SceneError, emit_scene_template, load_scene
+from .scene import SceneError, emit_scene_template
 from .suites import SUITES, run_checks
 
 SCHEMA = 1
@@ -65,22 +65,16 @@ class SuiteConfig:
             raise UsageError(
                 f"unknown suite {self.suite!r}; choose from {', '.join(sorted(SUITES))}"
             )
-        if self.scene is not None and not os.path.exists(self.scene):
-            raise UsageError(f"scene not found: {self.scene}")
+        if self.scene is not None:
+            if not os.path.exists(self.scene):
+                raise UsageError(f"scene not found: {self.scene}")
+            raise UsageError(f"suite {self.suite!r} does not read a scene")
 
 
 def run_suite(config: SuiteConfig):
     """Execute one suite; returns (exit_code, report dict)."""
     config.validate()
     params = dict(config.params)
-    if config.scene is not None:
-        try:
-            dimension, paths, surfaces = load_scene(config.scene)
-        except (OSError, SceneError, ValueError) as exc:
-            raise UsageError(f"scene {config.scene}: {exc}")
-        params["scene_dimension"] = dimension
-        params["scene_paths"] = sorted(paths)
-        params["scene_surfaces"] = sorted(surfaces)
     start = time.monotonic()
     checks = run_checks(config.suite, params, config.seed)
     wallclock = time.monotonic() - start

@@ -18,9 +18,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .connections import DomainError, RestrictedConnection, random_connection
+from .connections import DomainError, RestrictedConnection
 from .geometry import Graph, OrientedSurface, PolyPath, build_graph, decompose_minimal
-from .liegroup import Irrep, parse_irrep
+from .liegroup import GroupValidationError, Irrep, haar_sample_matrices, parse_irrep
 
 __all__ = [
     "CylFun",
@@ -144,12 +144,21 @@ def evaluate(f: CylFun, conn: RestrictedConnection) -> complex:
     """Pointwise value: sum of coeff * prod sqrt(dim) rho(h_edge)^m_n."""
     if set(conn.graph.edges) != set(f.graph.edges):
         raise DomainError("connection lives on a different graph")
-    total = 0j
+    columns = {eid: conn(eid).matrix[None] for eid in conn.graph.edges}
+    return complex(_evaluate_columns(f, columns, 1, {})[0])
+
+
+def _evaluate_columns(f: CylFun, columns: dict, count: int, entries: dict) -> np.ndarray:
+    """``evaluate`` at ``count`` connections, given as (count, d, d) holonomy
+    stacks per edge; ``entries`` keeps rho of each (edge, irrep) column."""
+    total = np.zeros(count, dtype=complex)
     for key, coeff in f.terms.items():
-        val = coeff
+        val = np.full(count, coeff)
         for eid, (rho_key, m, n) in key:
             rho = parse_irrep(rho_key)
-            val *= math.sqrt(rho.dim) * rho.entry(conn(eid), m, n)
+            if (eid, rho_key) not in entries:
+                entries[eid, rho_key] = rho.evaluate_many(columns[eid])
+            val *= math.sqrt(rho.dim) * entries[eid, rho_key][:, m, n]
         total += val
     return total
 
@@ -177,13 +186,21 @@ def norm_l2(f: CylFun) -> float:
 
 
 def inner_product_mc(f1: CylFun, f2: CylFun, n_samples: int, rng: np.random.Generator):
-    """Monte Carlo estimate of <f1, f2> with a standard-error estimate."""
+    """Monte Carlo estimate of <f1, f2> with a standard-error estimate.
+
+    Draws every connection in one stack, in ``random_connection``'s order,
+    and evaluates each (edge, irrep) once on that edge's column of draws."""
     if n_samples < 10**3:
         raise DomainError("use at least 1000 samples")
-    vals = np.empty(n_samples, dtype=complex)
-    for i in range(n_samples):
-        conn = random_connection(f1.graph, f1.group, rng)
-        vals[i] = np.conj(evaluate(f1, conn)) * evaluate(f2, conn)
+    if set(f2.graph.edges) != set(f1.graph.edges):
+        raise DomainError("connection lives on a different graph")
+    if f2.group != f1.group:
+        raise GroupValidationError("group tag mismatch between the two functions")
+    edge_ids = list(f1.graph.edges)
+    draws = haar_sample_matrices(rng, f1.group, n_samples * len(edge_ids))
+    columns, entries = {eid: draws[i::len(edge_ids)] for i, eid in enumerate(edge_ids)}, {}
+    vals = (np.conj(_evaluate_columns(f1, columns, n_samples, entries))
+            * _evaluate_columns(f2, columns, n_samples, entries))
     mean = vals.mean()
     stderr = float(np.sqrt(np.var(vals.real) + np.var(vals.imag)) / math.sqrt(n_samples))
     return complex(mean), stderr
@@ -297,16 +314,22 @@ def subdivide_edge(f: CylFun, eid: str, t: float) -> CylFun:
 def refine_for_surface(f: CylFun, surface: OrientedSurface) -> CylFun:
     """Split each edge into the pieces of its minimal decomposition, so that
     every edge is internal or external for the surface."""
-    pieces = {}
-    for eid, path in f.graph.edges.items():
-        dec = decompose_minimal(path, surface)
-        if len(dec.pieces) > 1:
-            pieces[eid] = [p.path for p in dec.pieces]
-    if not pieces:
-        return f
-    graph, ids = f.graph.split_edges(pieces)
+    return _refine_with_status(f, surface)[0]
+
+
+def _refine_with_status(f: CylFun, surface: OrientedSurface):
+    """``refine_for_surface`` and, from the same decompositions, the status
+    ('internal' or 'external') of every edge of the refined graph."""
+    decs = {eid: decompose_minimal(path, surface).pieces for eid, path in f.graph.edges.items()}
+    status = {eid: ps[0].status for eid, ps in decs.items() if len(ps) == 1}
+    split = {eid: ps for eid, ps in decs.items() if len(ps) > 1}
+    if not split:
+        return f, status
+    graph, ids = f.graph.split_edges({eid: [p.path for p in ps] for eid, ps in split.items()})
+    for eid, sub in ids.items():
+        status.update(zip(sub, (p.status for p in split[eid])))
     rules = {eid: _chain_rule(sub) for eid, sub in ids.items()}
-    return CylFun(graph, f.group, _rewrite_edges(f.terms, rules))
+    return CylFun(graph, f.group, _rewrite_edges(f.terms, rules)), status
 
 
 # ---------------------------------------------------------------------------

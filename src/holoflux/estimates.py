@@ -34,6 +34,7 @@ from .liegroup import (
     character,
     exp_alg,
     haar_sample,
+    haar_sample_matrices,
 )
 from .weylops import apply_weyl, weyl_constant
 
@@ -183,10 +184,10 @@ def tensor_casimir_check(rho: Irrep, basis: LieBasis, j_factors: int, t0: float,
         xi_t = xi(rho, basis, t)
         scal = math.exp(-lam * j_factors * t * t / 2)
         rhs = math.exp(eta_hat * j_factors * t**4) - 1.0
-        for _ in range(samples):
-            gs = [rho.evaluate(haar_sample(rng, rho.group)) for _ in range(j_factors + 1)]
-            lhs_prod = gs[0].copy()
-            plain = gs[0].copy()
+        draws = haar_sample_matrices(rng, rho.group, samples * (j_factors + 1))
+        reps = rho.evaluate_many(draws).reshape(samples, j_factors + 1, rho.dim, rho.dim)
+        for gs in reps:
+            lhs_prod = plain = gs[0]
             for gj in gs[1:]:
                 lhs_prod = lhs_prod @ (xi_t @ gj)
                 plain = plain @ gj
@@ -310,16 +311,14 @@ def winding_average_check(rho: Irrep, basis: LieBasis, j_factors: int, t: float,
 
 
 def matrix_element_sup(rho: Irrep, m: int, n: int, grid: int = 2000) -> float:
-    """sup over the group of |rho^m_n|, via a torus/angle grid (tol ~1e-6)."""
+    """sup over the group of |rho^m_n|, via a torus/angle grid (tol ~1e-6):
+    exp(beta i sigma_y) = [[cos, sin], [-sin, cos]](beta) for beta in [0, pi]."""
     if rho.group == "u1":
         return 1.0
-    from .liegroup import PAULI
-
-    best = 0.0
-    for beta in np.linspace(0.0, math.pi, grid):
-        g = exp_alg(1j * PAULI[1], beta)
-        best = max(best, abs(rho.evaluate(g)[m, n]))
-    return best
+    beta = np.linspace(0.0, math.pi, grid)
+    cos, sin = np.cos(beta), np.sin(beta)
+    mats = np.stack([cos, sin, -sin, cos], axis=1).reshape(grid, 2, 2)
+    return float(np.abs(rho.evaluate_many(mats)[:, m, n]).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

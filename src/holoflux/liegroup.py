@@ -4,13 +4,15 @@ Group elements are unitary matrices: 1x1 phases for U(1), 2x2 special
 unitaries for SU(2).  Irreducible representations are explicit: integer
 charges q -> z^q for U(1), and spin-j matrices realized as symmetric powers
 of the fundamental for SU(2) (so correctness is gated on the homomorphism
-property, not on a closed-form table).
+property, not on a closed-form table), all evaluated on stacks by
+``Irrep.evaluate_many``.
 
 Haar integration comes in two independent flavours:
 
 * an exact Schur-orthogonality engine for rank-1 matrix-element integrals
   (``schur_inner``), and
-* a Monte Carlo sampler (``haar_sample``) used as its oracle in the tests.
+* a Monte Carlo sampler (``haar_sample_matrices``, with ``haar_sample`` its
+  validated one-row case) used as its oracle.
 
 All functions are pure; RNG state is always passed explicitly.
 """
@@ -143,40 +145,31 @@ def torus_element(group: str, theta: float) -> GroupElement:
 # ---------------------------------------------------------------------------
 
 
-def _spin_matrix(g: np.ndarray, two_j: int) -> np.ndarray:
-    """Spin-j matrix of g in the symmetric-power realization.
+_EVAL_BLOCK = 2**16  # rows x terms per block of ``Irrep.evaluate_many``: ~1 MB arrays
 
-    Basis: monomials u^(N-k) v^k / sqrt((N-k)! k!) with N = 2j; the action is
-    substitution (u, v) -> (u, v) g, which makes g -> rho(g) a homomorphism
-    and restricts to the fundamental at j = 1/2.
+
+@functools.lru_cache(maxsize=None)
+def _spin_table(two_j: int):
+    """Spin-j matrix of g = [[a, b], [c, d]] as a polynomial, N = 2j.
+
+    Basis: monomials u^(N-k) v^k / sqrt((N-k)! k!); g acts by substitution
+    (u, v) -> (u, v) g, a homomorphism that is the fundamental at j = 1/2.
+    Entry (m, k) is the coefficient of u^(N-m) v^m in (au+cv)^(N-k) (bu+dv)^k.
+    Returns the exponents of (a, b, c, d) per term (K, 4), each term's
+    coefficient, and where each entry's terms start (entries row-major).
     """
     n = two_j
-    a, b = g[0, 0], g[0, 1]
-    c, d = g[1, 0], g[1, 1]
-    dim = n + 1
-    out = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        for m in range(dim):
-            s = 0.0 + 0.0j
-            # coefficient of u^(N-m) v^m in (au+cv)^(N-k) (bu+dv)^k
-            for p in range(0, n - k + 1):
+    exps, coefs, starts = [], [], []
+    for m in range(n + 1):
+        for k in range(n + 1):
+            starts.append(len(coefs))
+            norm = math.sqrt(math.factorial(n - m) * math.factorial(m)
+                             / (math.factorial(n - k) * math.factorial(k)))
+            for p in range(max(0, n - m - k), min(n - k, n - m) + 1):
                 q = n - m - p
-                if q < 0 or q > k:
-                    continue
-                term = math.comb(n - k, p) * math.comb(k, q)
-                s += (
-                    term
-                    * a**p
-                    * c ** (n - k - p)
-                    * b**q
-                    * d ** (k - q)
-                )
-            norm = math.sqrt(
-                (math.factorial(n - m) * math.factorial(m))
-                / (math.factorial(n - k) * math.factorial(k))
-            )
-            out[m, k] = norm * s
-    return out
+                exps.append((p, q, n - k - p, k - q))
+                coefs.append(norm * math.comb(n - k, p) * math.comb(k, q))
+    return np.array(exps), np.array(coefs), np.array(starts)
 
 
 @dataclass(frozen=True)
@@ -219,12 +212,29 @@ class Irrep:
     def evaluate(self, g: GroupElement) -> np.ndarray:
         if g.group != self.group:
             raise GroupValidationError("group tag mismatch between irrep and element")
-        if self.group == "u1":
-            return np.array([[g.matrix[0, 0] ** self.label]])
-        return _spin_matrix(g.matrix, int(2 * self.label))
+        return self.evaluate_many(g.matrix[None])[0]
 
-    def entry(self, g: GroupElement, m: int, n: int) -> complex:
-        return complex(self.evaluate(g)[m, n])
+    def evaluate_many(self, mats: np.ndarray) -> np.ndarray:
+        """rho of an (N, 1, 1) U(1) or (N, 2, 2) SU(2) stack, shape (N, dim, dim).
+        The rows are trusted to be group elements (Haar draws, validated elements)."""
+        mats = np.asarray(mats, dtype=complex)
+        side = 1 if self.group == "u1" else 2
+        if mats.shape[1:] != (side, side):
+            raise GroupValidationError(f"{self.group} stacks have shape (N, {side}, {side})")
+        if self.group == "u1":
+            return mats**self.label
+        exps, coefs, starts = _spin_table(self._dim - 1)
+        count = mats.shape[0]
+        abcd = mats.reshape(count, 4)
+        out = np.empty((count, self._dim**2), dtype=complex)
+        rows = max(1, _EVAL_BLOCK // len(coefs))
+        for lo in range(0, count, rows):
+            powers = abcd[lo:lo + rows, :, None] ** np.arange(self._dim)
+            terms = coefs * powers[:, 0, exps[:, 0]]
+            for i in (1, 2, 3):
+                terms *= powers[:, i, exps[:, i]]
+            out[lo:lo + rows] = np.add.reduceat(terms, starts, axis=1)
+        return out.reshape(count, self._dim, self._dim)
 
 
 @functools.lru_cache(maxsize=None)
@@ -345,16 +355,8 @@ def exp_alg(x: np.ndarray, t: float = 1.0) -> GroupElement:
 
 
 def haar_sample(rng: np.random.Generator, group: str) -> GroupElement:
-    """One Haar-distributed element: uniform phase (U1) / uniform on S^3 (SU2)."""
-    if group == "u1":
-        return u1_element(rng.uniform(0.0, 2.0 * np.pi))
-    if group == "su2":
-        v = rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        a = v[0] + 1j * v[1]
-        b = v[2] + 1j * v[3]
-        return GroupElement("su2", np.array([[a, -np.conj(b)], [b, np.conj(a)]]))
-    raise GroupValidationError(f"unknown group tag {group!r}")
+    """One Haar-distributed element: a one-row ``haar_sample_matrices`` draw, validated."""
+    return GroupElement(group, haar_sample_matrices(rng, group, 1)[0])
 
 
 def haar_sample_matrices(rng: np.random.Generator, group: str, count: int) -> np.ndarray:
@@ -367,12 +369,7 @@ def haar_sample_matrices(rng: np.random.Generator, group: str, count: int) -> np
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         a = v[:, 0] + 1j * v[:, 1]
         b = v[:, 2] + 1j * v[:, 3]
-        out = np.empty((count, 2, 2), dtype=complex)
-        out[:, 0, 0] = a
-        out[:, 0, 1] = -np.conj(b)
-        out[:, 1, 0] = b
-        out[:, 1, 1] = np.conj(a)
-        return out
+        return np.stack([a, -np.conj(b), b, np.conj(a)], axis=1).reshape(count, 2, 2)
     raise GroupValidationError(f"unknown group tag {group!r}")
 
 

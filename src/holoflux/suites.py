@@ -104,21 +104,8 @@ def _crossing_state(rng):
 
 
 def _spin_entries_batch(mats: np.ndarray, rho: Irrep) -> np.ndarray:
-    """Representation entries for a stack of SU(2) matrices, shape (N, d, d)."""
-    a, b = mats[:, 0, 0], mats[:, 0, 1]
-    c, d = mats[:, 1, 0], mats[:, 1, 1]
-    if rho.dim == 2:
-        return mats
-    if rho.dim == 3:
-        s2 = math.sqrt(2)
-        out = np.empty((mats.shape[0], 3, 3), dtype=complex)
-        out[:, 0] = np.stack([a * a, s2 * a * b, b * b], axis=1)
-        out[:, 1] = np.stack([s2 * a * c, a * d + b * c, s2 * b * d], axis=1)
-        out[:, 2] = np.stack([c * c, s2 * c * d, d * d], axis=1)
-        return out
-    from .liegroup import _spin_matrix
-
-    return np.stack([_spin_matrix(m, int(2 * rho.label)) for m in mats])
+    """Old name, still imported by the benchmark and the tests: ``Irrep.evaluate_many``."""
+    return rho.evaluate_many(mats)
 
 
 def suite_haar(params: dict, rng) -> list:
@@ -133,7 +120,7 @@ def suite_haar(params: dict, rng) -> list:
     # Schur engine vs MC on all index pairs, spins 1/2 and 1
     worst = 0.0
     for rho in (HALF, ONE):
-        ent = _spin_entries_batch(mats, rho)
+        ent = rho.evaluate_many(mats)
         d = rho.dim
         for m in range(d):
             for nn in range(d):
@@ -201,7 +188,7 @@ def suite_gsn_orthonormality(params: dict, rng) -> list:
     idx = rng.choice(n_states, size=min(subset, n_states), replace=False)
     edge_mats = {eid: haar_sample_matrices(rng, "su2", mc_samples) for eid in edge_ids}
     edge_entries = {
-        eid: {rho.key(): _spin_entries_batch(edge_mats[eid], rho) for rho in (HALF, ONE)}
+        eid: {rho.key(): rho.evaluate_many(edge_mats[eid]) for rho in (HALF, ONE)}
         for eid in edge_ids
     }
     values = np.empty((len(idx), mc_samples), dtype=complex)

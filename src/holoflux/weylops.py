@@ -21,10 +21,9 @@ from .connections import (
     RestrictedConnection,
     SurfaceLabel,
     constant_label,
-    edge_status,
     quasi_flux,
 )
-from .cylindrical import CylFun, _multiplier_rule, _rewrite_edges, refine_for_surface
+from .cylindrical import CylFun, _multiplier_rule, _refine_with_status, _rewrite_edges
 from .geometry import (
     AffineMap,
     Graph,
@@ -102,10 +101,10 @@ def apply_weyl(w: WeylDescriptor, f: CylFun) -> CylFun:
     external; external-edge factors pick up the boundary multipliers.
     """
     surface = w.effective_surface()
-    f = refine_for_surface(f, surface)
+    f, status = _refine_with_status(f, surface)
     rules = {}
     for eid, path in f.graph.edges.items():
-        if edge_status(path, surface) == "internal":
+        if status[eid] == "internal":
             continue
         sig_out, sig_in = sigma_pair(surface, path)
         if (sig_out, sig_in) != (0, 0):

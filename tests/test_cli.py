@@ -48,6 +48,17 @@ def test_cli_missing_scene_exit_2(tmp_path, capsys):
     assert "scene not found" in err
 
 
+def test_cli_existing_scene_is_refused_exit_2(tmp_path, capsys):
+    scene = tmp_path / "crossing.json"
+    scene.write_text(emit_scene_template("crossing"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema": 1, "suite": "decomposition", "scene": str(scene),
+                               "out": str(tmp_path / "r.json")}))
+    assert main(["--config", str(cfg)]) == 2
+    assert "suite 'decomposition' does not read a scene" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_cli_unknown_suite_exit_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"schema": 1, "suite": "not-a-suite"}))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoflux.connections import RestrictedConnection, holonomy, random_connection
+from holoflux.connections import DomainError, RestrictedConnection, holonomy, random_connection
 from holoflux.cylindrical import (
     align_to_common,
     cylfun,
@@ -32,7 +32,7 @@ from holoflux.geometry import (
     decompose_minimal,
     sigma_eval,
 )
-from holoflux.liegroup import Irrep, haar_sample, identity, parse_irrep
+from holoflux.liegroup import GroupValidationError, Irrep, haar_sample, identity, parse_irrep
 from holoflux.weylops import GaugeTransform, apply_gauge, apply_weyl, weyl_constant
 
 HALF = "su2:1/2"
@@ -120,6 +120,38 @@ def test_mc_deterministic_under_seed():
     v1, e1 = inner_product_mc(t1, t1, 1000, np.random.default_rng(77))
     v2, e2 = inner_product_mc(t1, t1, 1000, np.random.default_rng(77))
     assert v1 == v2 and e1 == e2
+
+
+def test_mc_matches_per_sample_oracle():
+    # the batched estimator draws what random_connection draws, sample by
+    # sample, and must give the estimate of evaluating f1, f2 on each draw
+    g = line_graph(3)
+    f1 = gsn(g, "su2", {"e0": (HALF, 0, 1), "e1": (ONE, 2, 0), "e2": (HALF, 1, 1)})
+    f2 = cylfun(g, "su2", [(0.7 - 0.2j, dict(f1.monomials()[0][1])),
+                           (1.1j, {"e1": (ONE, 1, 1)}), (0.3, {})])
+    n = 1000
+    est, se = inner_product_mc(f1, f2, n, np.random.default_rng(21))
+    rng = np.random.default_rng(21)
+    vals = np.empty(n, dtype=complex)
+    for i in range(n):
+        conn = random_connection(g, "su2", rng)
+        vals[i] = np.conj(evaluate(f1, conn)) * evaluate(f2, conn)
+    expected_se = np.sqrt(np.var(vals.real) + np.var(vals.imag)) / math.sqrt(n)
+    assert abs(est - vals.mean()) <= 1e-12
+    assert abs(se - expected_se) <= 1e-12
+
+
+def test_mc_refusals():
+    g = line_graph(2)
+    t = gsn(g, "su2", {"e0": (HALF, 0, 0), "e1": (ONE, 1, 2)})
+    with pytest.raises(DomainError):
+        inner_product_mc(t, t, 999, np.random.default_rng(0))
+    other = gsn(line_graph(3), "su2", {"e0": (HALF, 0, 0), "e1": (ONE, 1, 2), "e2": (HALF, 1, 0)})
+    with pytest.raises(DomainError):
+        inner_product_mc(t, other, 1000, np.random.default_rng(0))
+    charged = gsn(g, "u1", {"e0": ("u1:1", 0, 0), "e1": ("u1:-2", 0, 0)})
+    with pytest.raises(GroupValidationError):
+        inner_product_mc(t, charged, 1000, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

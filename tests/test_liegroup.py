@@ -94,6 +94,79 @@ def test_irrep_homomorphism_and_unitarity(rho):
         assert np.linalg.norm(lhs - rhs) <= 1e-10
         m = rho.evaluate(g)
         assert np.linalg.norm(m.conj().T @ m - np.eye(rho.dim)) <= 1e-10
+    # the same law on stacks: rho(A B) = rho(A) rho(B) row by row
+    a, b = haar_sample_matrices(rng, group, 200), haar_sample_matrices(rng, group, 200)
+    lhs = rho.evaluate_many(a @ b)
+    rhs = rho.evaluate_many(a) @ rho.evaluate_many(b)
+    assert np.abs(lhs - rhs).max() <= 1e-12
+
+
+def spin_matrix_reference(g, two_j):
+    """Brute-force spin-j matrix: entry (m, k) is the coefficient of
+    u^(N-m) v^m in (a u + c v)^(N-k) (b u + d v)^k, N = 2j, rescaled to the
+    normalized monomials u^(N-k) v^k / sqrt((N-k)! k!)."""
+    n = two_j
+    a, b = g[0, 0], g[0, 1]
+    c, d = g[1, 0], g[1, 1]
+    out = np.zeros((n + 1, n + 1), dtype=complex)
+    for k in range(n + 1):
+        for m in range(n + 1):
+            s = 0.0 + 0.0j
+            for p in range(0, n - k + 1):
+                q = n - m - p
+                if q < 0 or q > k:
+                    continue
+                weight = math.comb(n - k, p) * math.comb(k, q)
+                s += weight * a**p * c ** (n - k - p) * b**q * d ** (k - q)
+            norm = math.sqrt(
+                (math.factorial(n - m) * math.factorial(m))
+                / (math.factorial(n - k) * math.factorial(k))
+            )
+            out[m, k] = norm * s
+    return out
+
+
+@pytest.mark.parametrize("two_j", [0, 1, 2, 3, 4, 5, 6])
+def test_evaluate_many_matches_brute_force(two_j):
+    rng = np.random.default_rng(100 + two_j)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(2, 40)))
+    diagonal = np.zeros((40, 2, 2), dtype=complex)
+    diagonal[:, 0, 0], diagonal[:, 1, 1] = phases[0], np.conj(phases[0])
+    anti = np.zeros((40, 2, 2), dtype=complex)
+    anti[:, 0, 1], anti[:, 1, 0] = -np.conj(phases[1]), phases[1]
+    rho = Irrep("su2", Fraction(two_j, 2))
+    for stack in (haar_sample_matrices(rng, "su2", 100), diagonal, anti):
+        expected = np.stack([spin_matrix_reference(g, two_j) for g in stack])
+        assert np.abs(rho.evaluate_many(stack) - expected).max() <= 1e-13
+        one = rho.evaluate(GroupElement("su2", stack[0]))
+        assert np.array_equal(one, rho.evaluate_many(stack)[0])
+
+
+@pytest.mark.parametrize("charge", [-2, -1, 0, 1, 2])
+def test_evaluate_many_u1_is_power_of_phase(charge):
+    z = haar_sample_matrices(np.random.default_rng(3), "u1", 50)
+    expected = np.array([zi ** charge for zi in z[:, 0, 0]])
+    got = Irrep("u1", charge).evaluate_many(z)
+    assert got.shape == (50, 1, 1)
+    assert np.abs(got[:, 0, 0] - expected).max() <= 1e-13
+
+
+def test_evaluate_many_rejects_wrong_shape():
+    with pytest.raises(GroupValidationError):
+        SPIN_ONE.evaluate_many(np.ones((3, 1, 1), dtype=complex))
+    with pytest.raises(GroupValidationError):
+        CHARGE_ONE.evaluate_many(np.eye(2)[None])
+    with pytest.raises(GroupValidationError):
+        SPIN_HALF.evaluate_many(np.eye(2))
+
+
+def test_evaluate_many_large_stack_spans_several_blocks():
+    # rows are evaluated in blocks; a stack longer than one block must come
+    # back identical to evaluating its rows one at a time
+    mats = haar_sample_matrices(np.random.default_rng(8), "su2", 7000)
+    whole = SPIN_ONE.evaluate_many(mats)
+    for i in (0, 6552, 6553, 6999):
+        assert np.array_equal(whole[i], SPIN_ONE.evaluate_many(mats[i:i + 1])[0])
 
 
 def test_parse_irrep_roundtrip():
