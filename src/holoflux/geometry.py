@@ -1054,25 +1054,24 @@ def map_path(mapping, path: PolyPath) -> PolyPath:
         return PolyPath([mapping.apply(v) for v in path.vertices], validate=False)
     # stratified map: float evaluation with pre-splitting
     breaks = getattr(mapping, "path_break_params", None)
-    verts = [pt_float(v) for v in path.vertices]
+    verts = np.array([pt_float(v) for v in path.vertices])
     if breaks is not None:
         refined = [verts[0]]
-        for a, b in zip(verts, verts[1:]):
-            for s in breaks(a, b):
+        # one call splits every segment (array-native stratified maps)
+        for a, b, params in zip(verts, verts[1:], breaks(verts[:-1], verts[1:])):
+            for s in params:
                 p = a + s * (b - a)
                 if np.linalg.norm(p - refined[-1]) > 1e-14:
                     refined.append(p)
             if np.linalg.norm(b - refined[-1]) > 1e-14:
                 refined.append(b)
-        verts = refined
-    images = [np.asarray(mapping.forward(v), dtype=float) for v in verts]
-    for (a, b), (fa, fb) in zip(zip(verts, verts[1:]), zip(images, images[1:])):
-        mid = 0.5 * (a + b)
-        fmid = np.asarray(mapping.forward(mid), dtype=float)
-        if np.linalg.norm(fmid - 0.5 * (fa + fb)) > 1e-9:
-            raise PrecisionError(
-                "map is not affine along a path segment; refine the pre-split"
-            )
+        verts = np.array(refined)
+    images = np.asarray(mapping.forward(verts), dtype=float)
+    mids = np.asarray(mapping.forward(0.5 * (verts[:-1] + verts[1:])), dtype=float)
+    if np.any(np.linalg.norm(mids - 0.5 * (images[:-1] + images[1:]), axis=-1) > 1e-9):
+        raise PrecisionError(
+            "map is not affine along a path segment; refine the pre-split"
+        )
     return PolyPath([tuple(Fraction(float(c)) for c in v) for v in images],
                     validate=False)
 

@@ -25,10 +25,20 @@ families implemented:
 ``verify_stratified`` checks every output: piece formulas agree on shared
 boundaries, forward/inverse roundtrips, exact identity outside the support,
 and nonsingular per-piece Jacobians on samples.
+
+Everything here is array-native over the last axis.  A point argument ``X``
+is one point of shape (dim,) or a batch of shape (..., dim).  A piece's
+``contains(X)`` returns a boolean mask of shape ``X.shape[:-1]`` and its
+``apply(X)`` the mapped points, of the shape of ``X``; gauges, ``in_support``
+and break functions return values or masks of shape ``X.shape[:-1]``.  The
+map methods (``forward``, ``inverse``, ``piece_name``, ``pieces_at``,
+``path_break_params``) follow the same rule, so one call maps a whole batch,
+and each row of a batch gets bit for bit what the row alone would get.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -56,19 +66,43 @@ class StratMapError(ValueError):
     """Invalid constructor parameters or violated sampling validation."""
 
 
-def _norm(v) -> float:
-    """Euclidean norm of one point, equal bit for bit to np.linalg.norm(v)
-    (both take the square root of v.dot(v)), without its dispatch cost on
-    the per-point paths."""
-    v = np.asarray(v, dtype=float)
-    return math.sqrt(float(v.dot(v)))
+def _row_norm(x) -> np.ndarray:
+    """Euclidean norm over the last axis.  Each row is the square root of
+    x.dot(x), what np.linalg.norm gives for one point: a stack of 1 x n by
+    n x 1 products runs the same dot kernel row by row (a sum of squares
+    over the axis may round differently)."""
+    x = np.asarray(x, dtype=float)
+    return np.sqrt(np.matmul(x[..., None, :], x[..., :, None])[..., 0, 0])
+
+
+def _matvec(mat, x) -> np.ndarray:
+    """mat @ x over the last axis of x, for one matrix or a matching stack;
+    each row runs the one-point product's kernel."""
+    return np.matmul(mat, np.asarray(x, dtype=float)[..., None])[..., 0]
+
+
+def _between(v, lo, hi):
+    return (lo <= v) & (v <= hi)
+
+
+def _nowhere(x) -> np.ndarray:
+    return np.zeros(np.shape(x)[:-1], dtype=bool)
+
+
+def _everywhere(x) -> np.ndarray:
+    return np.ones(np.shape(x)[:-1], dtype=bool)
+
+
+def _scale_rows(coef, x) -> np.ndarray:
+    """coef * x row by row; coef may be one scalar for every row."""
+    return np.expand_dims(np.asarray(coef, dtype=float), -1) * x
 
 
 @dataclass
 class Piece:
     name: str
-    contains: Callable  # closed-region membership, point -> bool
-    apply: Callable     # closed-form map, point -> point
+    contains: Callable  # closed-region membership, (..., dim) -> (...) mask
+    apply: Callable     # closed-form map, (..., dim) -> (..., dim)
 
 
 @dataclass
@@ -78,10 +112,10 @@ class StratMap:
     dim: int
     pieces: list
     inv_pieces: list
-    in_support: Callable            # strict interior of the moving region
+    in_support: Callable            # strict interior of the moving region, as a mask
     bbox: tuple                     # (lo, hi) arrays enclosing the support
     boundary_sampler: Callable      # (rng, count) -> list of boundary points
-    break_functions: list = field(default_factory=list)  # scalar g(point)=0 loci
+    break_functions: list = field(default_factory=list)  # g(points) = 0 loci
     family: str = ""
     params: dict = field(default_factory=dict)
 
@@ -91,39 +125,54 @@ class StratMap:
     def inverse(self, y) -> np.ndarray:
         return self._apply(np.asarray(y, dtype=float), self.inv_pieces)
 
-    def _locate(self, x: np.ndarray, pieces: list):
-        """The first of `pieces` whose closed region holds x, or None."""
-        if self.in_support_closure(x):
-            for piece in pieces:
-                if piece.contains(x):
-                    return piece
-        return None
+    def _locate(self, x: np.ndarray, pieces: list) -> np.ndarray:
+        """Index into `pieces` of the first piece whose closed region holds
+        each row of x, or -1 (outside the bbox closure, or claimed by none)."""
+        rows = x.reshape(-1, self.dim)
+        idx = np.full(len(rows), -1)
+        rest = np.flatnonzero(self.in_support_closure(rows))
+        for k, piece in enumerate(pieces):
+            if rest.size == 0:
+                break
+            hit = piece.contains(rows[rest])
+            idx[rest[hit]] = k
+            rest = rest[~hit]
+        return idx.reshape(x.shape[:-1])
 
     def _apply(self, x: np.ndarray, pieces: list) -> np.ndarray:
-        piece = self._locate(x, pieces)
-        return x if piece is None else np.asarray(piece.apply(x), dtype=float)
+        """Each row mapped by its located piece; unlocated rows keep their
+        exact input values."""
+        idx = self._locate(x, pieces).reshape(-1)
+        rows = x.reshape(-1, self.dim)
+        out = rows.copy()
+        for k, piece in enumerate(pieces):
+            sel = idx == k
+            if sel.any():
+                out[sel] = piece.apply(rows[sel])
+        return out.reshape(x.shape)
 
-    def in_support_closure(self, x) -> bool:
-        # per-coordinate float compares: the same test as the array form,
-        # without numpy's per-call overhead on one 2- or 3-vector
+    def in_support_closure(self, x) -> np.ndarray:
         lo, hi = self.bbox
-        for l, v, u in zip(lo.tolist(), np.asarray(x, dtype=float).tolist(), hi.tolist()):
-            if not (l - 1e-12 <= v <= u + 1e-12):
-                return False
-        return True
+        return np.all(_between(np.asarray(x, dtype=float), lo - 1e-12, hi + 1e-12), axis=-1)
 
-    def pieces_at(self, x):
-        """Evaluations of every forward piece whose closed region holds x,
-        plus the identity when x is not strictly inside the support."""
+    def pieces_at(self, x) -> list:
+        """(mask, values) for every forward piece: the rows its closed region
+        holds and its formula there (NaN elsewhere), plus the identity on
+        the rows not strictly inside the support."""
         x = np.asarray(x, dtype=float)
-        vals = [np.asarray(p.apply(x), dtype=float) for p in self.pieces if p.contains(x)]
-        if not self.in_support(x):
-            vals.append(x)
-        return vals
+        out = []
+        for p in self.pieces:
+            mask = p.contains(x)
+            vals = np.full_like(x, np.nan)
+            vals[mask] = p.apply(x[mask])
+            out.append((mask, vals))
+        out.append((~self.in_support(x), x))
+        return out
 
-    def piece_name(self, x) -> str:
-        piece = self._locate(np.asarray(x, dtype=float), self.pieces)
-        return "identity" if piece is None else piece.name
+    def piece_name(self, x):
+        """The located piece's name per row ("identity" where none)."""
+        names = np.array([p.name for p in self.pieces] + ["identity"])
+        return names[self._locate(np.asarray(x, dtype=float), self.pieces)]
 
     def inverted(self) -> "StratMap":
         return StratMap(
@@ -140,37 +189,45 @@ class StratMap:
 
     # pre-splitting support for map_path
     def path_break_params(self, a, b):
+        """Sorted parameters s in (0, 1) at which a + s (b - a) meets a break
+        locus.  a and b are one segment (dim,), giving one list, or a batch
+        (S, dim), giving one list per segment."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        out = set()
+        starts, ends = a.reshape(-1, self.dim), b.reshape(-1, self.dim)
+        found = [set() for _ in starts]
         for g in self.break_functions:
-            out.update(_segment_roots(lambda s: g(a + s * (b - a))))
-        return sorted(out)
+            for i, s in _segment_roots(g, starts, ends):
+                found[i].add(s)
+        out = [sorted(f) for f in found]
+        return out if a.ndim > 1 else out[0]
 
 
-def _segment_roots(f: Callable, grid: int = 128):
-    """Approximate zeros of a scalar function on [0, 1] by scan + bisection."""
+def _segment_roots(g: Callable, starts: np.ndarray, ends: np.ndarray, grid: int = 128):
+    """Approximate zeros of s -> g(a + s (b - a)) on [0, 1] for every
+    segment (a, b) of the (S, dim) arrays starts and ends: one grid scan of
+    all segments, then bisection of each sign change.  Returns (segment
+    index, root) pairs."""
     svals = np.linspace(0.0, 1.0, grid + 1)
-    fvals = [f(s) for s in svals]
-    roots = []
-    for i in range(grid):
-        fa, fb = fvals[i], fvals[i + 1]
-        if fa == 0.0 and 0 < svals[i] < 1:
-            roots.append(svals[i])
-            continue
-        if fa * fb < 0:
-            lo, hi = svals[i], svals[i + 1]
-            flo = fa
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            r = 0.5 * (lo + hi)
-            if 1e-12 < r < 1 - 1e-12:
-                roots.append(r)
+    steps = ends - starts
+    fvals = g(starts[:, None, :] + svals[:, None] * steps[:, None, :])
+    fa, fb = fvals[:, :-1], fvals[:, 1:]
+    inner = (0 < svals[:-1]) & (svals[:-1] < 1)
+    seg, i = np.nonzero((fa == 0.0) & inner)
+    roots = list(zip(seg.tolist(), svals[i]))
+    for k, i in zip(*np.nonzero(fa * fb < 0)):
+        a, step = starts[k], steps[k]
+        lo, hi, flo = svals[i], svals[i + 1], fa[k, i]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            fm = g(a + mid * step)
+            if flo * fm <= 0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        r = 0.5 * (lo + hi)
+        if 1e-12 < r < 1 - 1e-12:
+            roots.append((int(k), r))
     return roots
 
 
@@ -182,8 +239,8 @@ def compose(*maps: StratMap) -> StratMap:
     if any(m.dim != dim for m in maps):
         raise StratMapError("dimension mismatch in composition")
 
-    def fwd(x):
-        for m in maps:
+    def fwd(x, factors=maps):
+        for m in factors:
             x = m.forward(x)
         return x
 
@@ -197,44 +254,82 @@ def compose(*maps: StratMap) -> StratMap:
 
     def in_support(x):
         z = np.asarray(x, dtype=float)
+        inside = _nowhere(z)
         for m in maps:
-            if m.in_support(z):
-                return True
+            inside = inside | m.in_support(z)
             z = m.forward(z)
-        return False
+        return inside
 
     def boundary_sampler(rng, count):
         pts = []
         per = max(1, count // len(maps))
         for i, m in enumerate(maps):
-            for p in m.boundary_sampler(rng, per):
-                q = np.asarray(p, dtype=float)
-                # pull back through the earlier maps
-                for earlier in reversed(maps[:i]):
-                    q = earlier.inverse(q)
-                pts.append(q)
+            q = np.asarray(m.boundary_sampler(rng, per), dtype=float).reshape(-1, dim)
+            # pull back through the earlier maps
+            for earlier in reversed(maps[:i]):
+                q = earlier.inverse(q)
+            pts.extend(q)
         return pts
 
+    def pieces_at(x):
+        # every value of factor k's pieces_at at x pushed through the
+        # earlier factors, each pushed on through the later factors
+        x = np.asarray(x, dtype=float)
+        out = [(_everywhere(x), fwd(x))]
+        z = x
+        for k, m in enumerate(maps):
+            entries = m.pieces_at(z)
+            pushed = fwd(np.concatenate([vals[mask] for mask, vals in entries]), maps[k + 1:])
+            at = 0
+            for mask, _ in entries:
+                vals = np.full_like(x, np.nan)
+                count = np.count_nonzero(mask)
+                vals[mask] = pushed[at:at + count]
+                at += count
+                out.append((mask, vals))
+            z = m.forward(z)
+        return out
+
     def break_params(a, b):
-        # earlier maps act affinely between their own breaks; propagate
-        svals = sorted(set(maps[0].path_break_params(a, b)) | {0.0, 1.0})
-        if len(maps) == 1:
-            return [s for s in svals if 0 < s < 1]
-        rest = compose(*maps[1:]) if len(maps) > 2 else maps[1]
-        out = set(s for s in svals if 0 < s < 1)
+        # Each factor acts affinely between its own breaks, so its breaks
+        # split every segment, whose image pieces the next factor splits in
+        # turn.  A segment carries the parameter windows (s0, s1) that led
+        # to it, outermost first; a break u on it lies at s0 + u (s1 - s0)
+        # of each window, innermost first.
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        for s0, s1 in zip(svals, svals[1:]):
-            pa = maps[0].forward(a + s0 * (b - a))
-            pb = maps[0].forward(a + s1 * (b - a))
-            for u in rest.path_break_params(pa, pb):
-                out.add(s0 + u * (s1 - s0))
-        return sorted(out)
+        starts, ends = a.reshape(-1, dim), b.reshape(-1, dim)
+        segs = [(i, ()) for i in range(len(starts))]
+        found = [set() for _ in starts]
+        for k, m in enumerate(maps):
+            svals = [sorted(set(u) | {0.0, 1.0})
+                     for u in m.path_break_params(starts, ends)]
+            for (i, windows), ss in zip(segs, svals):
+                for s in ss[1:-1]:
+                    for s0, s1 in reversed(windows):
+                        s = s0 + s * (s1 - s0)
+                    found[i].add(s)
+            if k + 1 == len(maps):
+                break
+            # all points of every split segment through this factor at once
+            pts = m.forward(np.concatenate(
+                [p + np.asarray(ss)[:, None] * (q - p)
+                 for p, q, ss in zip(starts, ends, svals)]))
+            nxt, nxt_starts, nxt_ends, at = [], [], [], 0
+            for (i, windows), ss in zip(segs, svals):
+                for j, (s0, s1) in enumerate(zip(ss, ss[1:])):
+                    nxt.append((i, windows + ((s0, s1),)))
+                    nxt_starts.append(pts[at + j])
+                    nxt_ends.append(pts[at + j + 1])
+                at += len(ss)
+            segs, starts, ends = nxt, np.array(nxt_starts), np.array(nxt_ends)
+        out = [sorted(f) for f in found]
+        return out if a.ndim > 1 else out[0]
 
     composite = StratMap(
         dim=dim,
-        pieces=[Piece("composite", lambda x: True, fwd)],
-        inv_pieces=[Piece("composite-inverse", lambda y: True, inv)],
+        pieces=[Piece("composite", _everywhere, fwd)],
+        inv_pieces=[Piece("composite-inverse", _everywhere, inv)],
         in_support=in_support,
         bbox=(los, his),
         boundary_sampler=boundary_sampler,
@@ -242,7 +337,7 @@ def compose(*maps: StratMap) -> StratMap:
         params={"factors": [m.family for m in maps]},
     )
     composite.path_break_params = break_params  # type: ignore[method-assign]
-    composite.pieces_at = lambda x: [fwd(np.asarray(x, dtype=float))]  # type: ignore
+    composite.pieces_at = pieces_at  # type: ignore[method-assign]
     return composite
 
 
@@ -258,8 +353,8 @@ class EuclideanGauge:
         self.dim = dim
         self.radius = float(radius)
 
-    def __call__(self, x) -> float:
-        return _norm(x) / self.radius
+    def __call__(self, x):
+        return _row_norm(x) / self.radius
 
     def support_point(self, direction, level: float = 1.0) -> np.ndarray:
         d = np.asarray(direction, dtype=float)
@@ -298,8 +393,8 @@ class SimplexGauge:
         self.facets = np.asarray(rows)
         self.vertices = verts
 
-    def __call__(self, x) -> float:
-        return float(np.max(self.facets @ np.asarray(x, dtype=float)))
+    def __call__(self, x):
+        return np.max(_matvec(self.facets, x), axis=-1)
 
     def support_point(self, direction, level: float = 1.0) -> np.ndarray:
         d = np.asarray(direction, dtype=float)
@@ -337,11 +432,11 @@ class RadialPiece:
 
     def forward(self, x):
         x = np.asarray(x, dtype=float)
-        return (self.a(x) + self.b(x) / self.p(x)) * x
+        return _scale_rows(self.a(x) + self.b(x) / self.p(x), x)
 
     def inverse(self, y):
         y = np.asarray(y, dtype=float)
-        return (1.0 / self.a(y)) * (1.0 - self.b(y) / self.p(y)) * y
+        return _scale_rows((1.0 / self.a(y)) * (1.0 - self.b(y) / self.p(y)), y)
 
     def validate(self, domain_points, atol: float = 1e-9):
         for x in domain_points:
@@ -422,11 +517,11 @@ class TwoSurfaceInterp:
         if not ok:
             raise StratMapError("interpolation parameters violate the ordering")
 
-    def v_plus(self, x) -> bool:
-        return self.p0(x) >= 1.0 and self.p1(x) <= self.lam_plus
+    def v_plus(self, x):
+        return (self.p0(x) >= 1.0) & (self.p1(x) <= self.lam_plus)
 
-    def v_minus(self, x) -> bool:
-        return self.p1(x) >= self.lam_minus and self.p0(x) <= 1.0
+    def v_minus(self, x):
+        return (self.p1(x) >= self.lam_minus) & (self.p0(x) <= 1.0)
 
 
 def interp_two_surfaces(p0, p1, lam_minus, lam_plus, lam0_minus, lam0_plus,
@@ -463,7 +558,7 @@ def scaling_map(gauge, lam: float, eps: float) -> StratMap:
             dim=dim,
             pieces=[],
             inv_pieces=[],
-            in_support=lambda x: False,
+            in_support=_nowhere,
             bbox=bbox,
             boundary_sampler=lambda rng, n: [],
             family="scaling",
@@ -494,13 +589,13 @@ def scaling_map(gauge, lam: float, eps: float) -> StratMap:
     core = Piece("core", lambda x: gauge(x) <= 1.0, lambda x: lam * np.asarray(x, dtype=float))
     shell = Piece(
         "shell",
-        lambda x: 1.0 <= gauge(x) <= shell_hi,
+        lambda x: _between(gauge(x), 1.0, shell_hi),
         qp.forward,
     )
     inv_core = Piece("core", lambda y: gauge(y) <= lam, lambda y: np.asarray(y, dtype=float) / lam)
     inv_shell = Piece(
         "shell",
-        lambda y: lam <= gauge(y) <= shell_hi,
+        lambda y: _between(gauge(y), lam, shell_hi),
         qp.inverse,
     )
 
@@ -544,37 +639,30 @@ def rotation_map(x_gen: np.ndarray, r1: float, r2: float) -> StratMap:
     dim = x_gen.shape[0]
     evals, vecs = np.linalg.eigh(1j * x_gen)
 
-    def rot(angle_scale: float) -> np.ndarray:
-        return ((vecs * np.exp(-1j * angle_scale * evals)) @ vecs.conj().T).real
+    def rot(angle_scale) -> np.ndarray:
+        """e^{s X} for a scalar s, or a stack of them for an array of s."""
+        s = np.asarray(angle_scale, dtype=float)[..., None, None]
+        return ((vecs * np.exp(-1j * s * evals)) @ vecs.conj().T).real
 
     full = rot(1.0)
     full_inv = rot(-1.0)
 
-    def ramp(r: float) -> float:
-        if r >= r1:
-            return 0.0
-        return (r1 - r) / (r1 - r2)
+    def ramp(r):
+        return np.where(r >= r1, 0.0, (r1 - r) / (r1 - r2))
 
-    def fwd_annulus(x):
-        x = np.asarray(x, dtype=float)
-        s = ramp(_norm(x))
-        if s == 0.0:
-            return x
-        return rot(s) @ x
+    def annulus_map(sign: float) -> Callable:
+        def apply(x):
+            x = np.asarray(x, dtype=float)
+            s = ramp(_row_norm(x))
+            # rows where the ramp is off keep their exact values
+            return np.where((s == 0.0)[..., None], x, _matvec(rot(sign * s), x))
 
-    def inv_annulus_fn(y):
-        y = np.asarray(y, dtype=float)
-        s = ramp(_norm(y))
-        if s == 0.0:
-            return y
-        return rot(-s) @ y
+        return apply
 
-    core = Piece("core", lambda x: _norm(x) <= r2,
-                 lambda x: full @ np.asarray(x, dtype=float))
-    annulus = Piece("annulus", lambda x: r2 <= _norm(x) <= r1, fwd_annulus)
-    inv_core = Piece("core", lambda y: _norm(y) <= r2,
-                     lambda y: full_inv @ np.asarray(y, dtype=float))
-    inv_annulus = Piece("annulus", lambda y: r2 <= _norm(y) <= r1, inv_annulus_fn)
+    core = Piece("core", lambda x: _row_norm(x) <= r2, lambda x: _matvec(full, x))
+    annulus = Piece("annulus", lambda x: _between(_row_norm(x), r2, r1), annulus_map(1.0))
+    inv_core = Piece("core", lambda y: _row_norm(y) <= r2, lambda y: _matvec(full_inv, y))
+    inv_annulus = Piece("annulus", lambda y: _between(_row_norm(y), r2, r1), annulus_map(-1.0))
 
     def boundary_sampler(rng, count):
         pts = []
@@ -588,12 +676,12 @@ def rotation_map(x_gen: np.ndarray, r1: float, r2: float) -> StratMap:
         dim=dim,
         pieces=[core, annulus],
         inv_pieces=[inv_core, inv_annulus],
-        in_support=lambda x: np.linalg.norm(x) < r1,
+        in_support=lambda x: _row_norm(x) < r1,
         bbox=(-r1 * np.ones(dim), r1 * np.ones(dim)),
         boundary_sampler=boundary_sampler,
         break_functions=[
-            lambda pt: np.linalg.norm(pt) - r2,
-            lambda pt: np.linalg.norm(pt) - r1,
+            lambda pt: _row_norm(pt) - r2,
+            lambda pt: _row_norm(pt) - r1,
         ],
         family="rotation",
         params={"r1": r1, "r2": r2},
@@ -642,31 +730,28 @@ def bump_map(tau1: float, tau2: float, eps: float, a: float, n: int,
     y_bot, y_top = -2 * eps, 2 * a + 2 * eps
     slope = a / eps
 
-    def shift(x: float) -> float:
+    def shift(x):
         """Piecewise-linear lift profile r(x): 0 at the box x-faces, 2a flat."""
-        if x <= x_lo or x >= x_hi:
-            return 0.0
-        if x <= tau1 + eps:
-            return slope * (x - x_lo)
-        if x >= tau2 - eps:
-            return slope * (x_hi - x)
-        return 2 * a
+        return np.where((x <= x_lo) | (x >= x_hi), 0.0,
+                        np.where(x <= tau1 + eps, slope * (x - x_lo),
+                                 np.where(x >= tau2 - eps, slope * (x_hi - x), 2 * a)))
 
-    def z_radius(pt) -> float:
-        return math.sqrt(sum(pt[i] ** 2 for i in z_axes)) if z_axes else 0.0
+    def z_radius(pt):
+        # squares summed coordinate by coordinate, as one point's sum would be
+        return np.sqrt(sum(pt[..., i] ** 2 for i in z_axes))
 
-    def ring_falloff(pt) -> float:
+    def ring_falloff(pt):
         # cosine falloff from 1 at the core radius to 0 at the outer radius;
         # with the default radii (eps, 2 eps) this is (1 - cos(pi |z|/eps))/2
         u = (z_radius(pt) - z_core) / (z_outer - z_core)
-        return 0.5 * (1.0 + math.cos(math.pi * u))
+        return 0.5 * (1.0 + np.cos(math.pi * u))
 
-    def yval(pt) -> float:
-        return sign * pt[axis_y]
+    def yval(pt):
+        return sign * pt[..., axis_y]
 
     def with_y(pt, y) -> np.ndarray:
         out = np.array(pt, dtype=float)
-        out[axis_y] = sign * y
+        out[..., axis_y] = sign * y
         return out
 
     # row maps: the strip |y| <= eps is sheared by the full lift r; the top
@@ -676,7 +761,7 @@ def bump_map(tau1: float, tau2: float, eps: float, a: float, n: int,
     def row_fwd(row: str, zone_g) -> Callable:
         def apply(pt):
             pt = np.asarray(pt, dtype=float)
-            r = shift(pt[axis_x]) * zone_g(pt)
+            r = shift(pt[..., axis_x]) * zone_g(pt)
             y = yval(pt)
             if row == "strip":
                 return with_y(pt, y + r)
@@ -691,7 +776,7 @@ def bump_map(tau1: float, tau2: float, eps: float, a: float, n: int,
     def row_inv(row: str, zone_g) -> Callable:
         def apply(pt):
             pt = np.asarray(pt, dtype=float)
-            r = shift(pt[axis_x]) * zone_g(pt)
+            r = shift(pt[..., axis_x]) * zone_g(pt)
             yp = yval(pt)
             if row == "strip":
                 return with_y(pt, yp - r)
@@ -724,25 +809,22 @@ def bump_map(tau1: float, tau2: float, eps: float, a: float, n: int,
     def make_contains(c_lo, c_hi, row, r_lo, r_hi, z_lo, z_hi, zone_g,
                       forward_side: bool):
         def contains(pt):
-            x = pt[axis_x]
-            if not (c_lo <= x <= c_hi):
-                return False
-            y = yval(pt)
-            # the forward-side row test needs no z, so it runs first
-            if forward_side and not (r_lo <= y <= r_hi):
-                return False
+            x = pt[..., axis_x]
+            inside = _between(x, c_lo, c_hi)
             if z_axes:
-                rz = z_radius(pt)
-                if not (z_lo <= rz <= z_hi):
-                    return False
+                inside &= _between(z_radius(pt), z_lo, z_hi)
+            if not inside.any():
+                # most pieces miss most rows here: skip the row tests
+                return inside
+            y = yval(pt)
             if forward_side:
-                return True
+                return inside & _between(y, r_lo, r_hi)
             # image-side row bounds: the strip edges travel with the lift,
             # the box edges stay put
             off = shift(x) * zone_g(pt)
             lo = r_lo + off if row in ("strip", "top") else r_lo
             hi = r_hi + off if row in ("bottom", "strip") else r_hi
-            return lo <= y <= hi
+            return inside & _between(y, lo, hi)
 
         return contains
 
@@ -776,15 +858,11 @@ def bump_map(tau1: float, tau2: float, eps: float, a: float, n: int,
 
     def in_support(pt):
         pt = np.asarray(pt, dtype=float)
-        if not (x_lo < pt[axis_x] < x_hi):
-            return False
-        if not (y_bot < yval(pt) < y_top):
-            return False
+        x, y = pt[..., axis_x], yval(pt)
+        inside = (x_lo < x) & (x < x_hi) & (y_bot < y) & (y < y_top)
         if z_axes:
-            rz = math.sqrt(sum(pt[i] ** 2 for i in z_axes))
-            if rz >= z_outer:
-                return False
-        return True
+            inside &= z_radius(pt) < z_outer
+        return inside
 
     def boundary_sampler(rng, count):
         pts = []
@@ -805,15 +883,15 @@ def bump_map(tau1: float, tau2: float, eps: float, a: float, n: int,
         return pts
 
     breaks = [
-        (lambda c: (lambda pt: pt[axis_x] - c))(c)
+        (lambda c: (lambda pt: pt[..., axis_x] - c))(c)
         for c in (x_lo, tau1 + eps, tau2 - eps, x_hi)
     ] + [
-        (lambda c: (lambda pt: sign * pt[axis_y] - c))(c)
+        (lambda c: (lambda pt: yval(pt) - c))(c)
         for c in (y_bot, -eps, eps, y_top)
     ]
     if z_axes:
         breaks += [
-            (lambda c: (lambda pt: math.sqrt(sum(pt[i] ** 2 for i in z_axes)) - c))(c)
+            (lambda c: (lambda pt: z_radius(pt) - c))(c)
             for c in (z_core, z_outer)
         ]
 
@@ -862,7 +940,7 @@ def winding_map(taus: Sequence[float], levels: Sequence[int],
             dim=n,
             pieces=[],
             inv_pieces=[],
-            in_support=lambda x: False,
+            in_support=_nowhere,
             bbox=(-np.ones(n), np.ones(n)),
             boundary_sampler=lambda rng, count: [],
             family="winding",
@@ -939,54 +1017,45 @@ def verify_stratified(m: StratMap, samples: int, rng: np.random.Generator) -> di
     Reports the worst boundary disagreement between piece formulas, the
     worst forward/inverse roundtrip error, the number of points outside the
     support that move at all (must be zero: the identity there is exact),
-    and the smallest |det J| seen on per-piece interior samples.
+    and the smallest |det J| seen on per-piece interior samples.  The
+    samples are drawn as (samples, dim) arrays, the same stream as one draw
+    per sample, and evaluated as batches.
     """
     lo, hi = m.bbox
     span = hi - lo
+    edge = np.asarray(m.boundary_sampler(rng, max(16, samples // 10)), dtype=float)
+    entries = [(mask, vals) for mask, vals in m.pieces_at(edge.reshape(-1, m.dim))
+               if mask.any()]
     boundary_max = 0.0
-    for pt in m.boundary_sampler(rng, max(16, samples // 10)):
-        vals = m.pieces_at(pt)
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                boundary_max = max(boundary_max, _norm(vals[i] - vals[j]))
-    roundtrip_max = 0.0
-    jac_min = math.inf
+    for (mask_i, vals_i), (mask_j, vals_j) in itertools.combinations(entries, 2):
+        both = mask_i & mask_j
+        if both.any():
+            boundary_max = max(boundary_max,
+                               float(_row_norm(vals_i[both] - vals_j[both]).max()))
+    x = lo + rng.uniform(size=(samples, m.dim)) * span
+    roundtrip = np.concatenate([_row_norm(m.inverse(m.forward(x)) - x),
+                                _row_norm(m.forward(m.inverse(x)) - x)])
+    roundtrip_max = float(np.max(roundtrip, initial=0.0))
+    names = m.piece_name(x)
+    moving = names != "identity"
+    x, names = x[moving], names[moving]
+    # Jacobian only where the whole +-h stencil stays in one piece
     h = 1e-6
-    for _ in range(samples):
-        x = lo + rng.uniform(size=m.dim) * span
-        y = m.forward(x)
-        roundtrip_max = max(roundtrip_max, _norm(m.inverse(y) - x))
-        z = m.inverse(x)
-        roundtrip_max = max(roundtrip_max, _norm(m.forward(z) - x))
-        name = m.piece_name(x)
-        if name != "identity":
-            # Jacobian only when the whole stencil stays in one piece
-            stencil_ok = all(
-                m.piece_name(x + dh) == name and m.piece_name(x - dh) == name
-                for dh in (h * np.eye(m.dim))
-            )
-            if stencil_ok:
-                jac = np.empty((m.dim, m.dim))
-                for c in range(m.dim):
-                    e = np.zeros(m.dim)
-                    e[c] = h
-                    jac[:, c] = (m.forward(x + e) - m.forward(x - e)) / (2 * h)
-                jac_min = min(jac_min, abs(float(np.linalg.det(jac))))
-    support_violations = 0
-    outside_max = 0.0
-    for _ in range(samples):
-        x = lo - 0.5 * span + rng.uniform(size=m.dim) * 2.0 * span
-        if m.in_support(x):
-            continue
-        y = m.forward(x)
-        if not np.array_equal(y, x):
-            support_violations += 1
-            outside_max = max(outside_max, _norm(y - x))
+    steps = h * np.eye(m.dim)
+    stencil = np.stack([x + e for e in steps] + [x - e for e in steps])
+    x = x[np.all(m.piece_name(stencil) == names, axis=0)]
+    images = m.forward(np.stack([x + e for e in steps] + [x - e for e in steps]))
+    jac = np.stack([(images[c] - images[m.dim + c]) / (2 * h) for c in range(m.dim)], axis=-1)
+    dets = np.abs(np.linalg.det(jac))
+    x = lo - 0.5 * span + rng.uniform(size=(samples, m.dim)) * 2.0 * span
+    x = x[~m.in_support(x)]
+    y = m.forward(x)
+    moved = np.any(y != x, axis=-1)
     return {
         "boundary_max_mismatch": boundary_max,
         "roundtrip_max": roundtrip_max,
-        "support_violations": support_violations,
-        "outside_motion_max": outside_max,
-        "jacobian_min_abs_det": None if jac_min is math.inf else jac_min,
+        "support_violations": int(moved.sum()),
+        "outside_motion_max": float(np.max(_row_norm(y[moved] - x[moved]), initial=0.0)),
+        "jacobian_min_abs_det": float(dets.min()) if dets.size else None,
         "samples": samples,
     }

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from holoflux import stratmaps
 from holoflux.stratmaps import (
     EuclideanGauge,
     Piece,
@@ -40,6 +41,10 @@ def test_radial_identity_and_doubling():
     assert np.allclose(ident.forward(x), x)
     assert np.allclose(dbl.forward(x), 2 * x)
     assert np.allclose(dbl.inverse(dbl.forward(x)), x)
+    # fields that return one scalar serve a batch too
+    batch = np.array([x, -2 * x, [1.0, 0.0, 0.0]])
+    assert np.array_equal(dbl.forward(batch), np.array([dbl.forward(v) for v in batch]))
+    assert np.allclose(dbl.inverse(dbl.forward(batch)), batch)
 
 
 def test_radial_random_admissible_roundtrip_and_collinearity():
@@ -390,6 +395,18 @@ def test_bump_corrupted_piece_flagged():
 # ---------------------------------------------------------------------------
 
 
+def test_composite_boundary_check_compares_factor_pieces():
+    # a composite's pieces_at carries every factor's piece values, so a
+    # corrupted factor piece shows on the composite's boundary samples
+    rot = rotation_map(so_generator(3, 0.9), 2.0, 1.0)
+    bad = rot.pieces[0]
+    rot.pieces[0] = Piece(bad.name, bad.contains,
+                          lambda pt: bad.apply(pt) + np.array([0.0, 1e-3, 0.0]))
+    comp = compose(rot, scaling_map(EuclideanGauge(3), 1.5, 0.2))
+    rep = verify_stratified(comp, 500, np.random.default_rng(24))
+    assert rep["boundary_max_mismatch"] >= 1e-4
+
+
 def test_composition_passes_verify():
     m1 = rotation_map(so_generator(3, 0.9), 2.0, 1.0)
     m2 = scaling_map(EuclideanGauge(3), 1.5, 0.2)
@@ -516,3 +533,193 @@ def test_simplex_gauge_and_ball_interp():
         x = sg.support_point(d, 1.0)  # on the simplex boundary
         img = interp.qhat_plus.forward(x)
         assert abs(ball(img) - lam0_plus) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# batches against one point at a time
+# ---------------------------------------------------------------------------
+
+
+def strat_constructors():
+    """The eight constructors of the strat-diffeo suite, with its parameters."""
+    rot = lambda w: so_generator(3, w)  # noqa: E731
+    return {
+        "bump_n3": bump_map(-1.0, 1.0, 0.25, 0.8, 3),
+        "bump_n2": bump_map(-1.0, 1.0, 0.25, 0.8, 2),
+        "bump_n4": bump_map(-1.0, 1.0, 0.25, 0.8, 4),
+        "scaling_expand": scaling_map(EuclideanGauge(3), 2.0, 0.1),
+        "scaling_shrink": scaling_map(EuclideanGauge(3), 0.4, 0.2),
+        "rotation": rotation_map(rot(1.1), 2.0, 1.0),
+        "winding_j2": winding_map([1.0, 2.0], [0, 0], [0.25], 0.3, 0.6),
+        "composite": compose(rotation_map(rot(0.7), 2.0, 1.0),
+                             scaling_map(EuclideanGauge(3), 1.5, 0.2)),
+    }
+
+
+@pytest.mark.parametrize("name", list(strat_constructors()))
+def test_batch_equals_rows(name):
+    m = strat_constructors()[name]
+    rng = np.random.default_rng(41)
+    for mm in (m, m.inverted()):
+        lo, hi = mm.bbox
+        span = hi - lo
+        pts = np.concatenate([
+            lo + rng.uniform(size=(150, mm.dim)) * span,
+            np.asarray(mm.boundary_sampler(rng, 60), dtype=float).reshape(-1, mm.dim),
+            lo - 0.5 * span + rng.uniform(size=(60, mm.dim)) * 2.0 * span,
+        ])
+        for method in (mm.forward, mm.inverse, mm.piece_name):
+            batch = method(pts)
+            rows = np.array([method(x) for x in pts])
+            assert batch.shape == rows.shape
+            assert np.array_equal(batch, rows), method.__name__
+        outside = ~mm.in_support_closure(pts)
+        assert outside.any()
+        assert np.array_equal(mm.forward(pts)[outside], pts[outside])
+
+
+def test_gauges_on_batches_equal_one_point_values():
+    rng = np.random.default_rng(42)
+    for dim in (2, 3, 4):
+        pts = rng.normal(size=(2000, dim)) * rng.uniform(0.0, 3.0, size=(2000, 1))
+        want = np.array([np.linalg.norm(x) / 1.5 for x in pts])
+        assert np.array_equal(EuclideanGauge(dim, 1.5)(pts), want)
+    sg = SimplexGauge([(1.2, 0.1), (-0.8, 1.0), (-0.5, -1.1)])
+    pts = rng.normal(size=(2000, 2))
+    assert np.array_equal(sg(pts), np.array([np.max(sg.facets @ x) for x in pts]))
+
+
+def verify_stratified_reference(m, samples, rng):
+    """verify_stratified as one Python loop over the samples, one point per
+    call (the array-native version must report the same)."""
+    lo, hi = m.bbox
+    span = hi - lo
+    boundary_max = 0.0
+    for pt in m.boundary_sampler(rng, max(16, samples // 10)):
+        vals = [v for mask, v in m.pieces_at(pt) if mask]
+        for i in range(len(vals)):
+            for j in range(i + 1, len(vals)):
+                boundary_max = max(boundary_max, np.linalg.norm(vals[i] - vals[j]))
+    roundtrip_max = 0.0
+    jac_min = math.inf
+    h = 1e-6
+    for _ in range(samples):
+        x = lo + rng.uniform(size=m.dim) * span
+        y = m.forward(x)
+        roundtrip_max = max(roundtrip_max, np.linalg.norm(m.inverse(y) - x))
+        z = m.inverse(x)
+        roundtrip_max = max(roundtrip_max, np.linalg.norm(m.forward(z) - x))
+        name = m.piece_name(x)
+        if name != "identity":
+            stencil_ok = all(
+                m.piece_name(x + dh) == name and m.piece_name(x - dh) == name
+                for dh in (h * np.eye(m.dim))
+            )
+            if stencil_ok:
+                jac = np.empty((m.dim, m.dim))
+                for c in range(m.dim):
+                    e = np.zeros(m.dim)
+                    e[c] = h
+                    jac[:, c] = (m.forward(x + e) - m.forward(x - e)) / (2 * h)
+                jac_min = min(jac_min, abs(float(np.linalg.det(jac))))
+    support_violations = 0
+    outside_max = 0.0
+    for _ in range(samples):
+        x = lo - 0.5 * span + rng.uniform(size=m.dim) * 2.0 * span
+        if m.in_support(x):
+            continue
+        y = m.forward(x)
+        if not np.array_equal(y, x):
+            support_violations += 1
+            outside_max = max(outside_max, np.linalg.norm(y - x))
+    return {
+        "boundary_max_mismatch": boundary_max,
+        "roundtrip_max": roundtrip_max,
+        "support_violations": support_violations,
+        "outside_motion_max": outside_max,
+        "jacobian_min_abs_det": None if jac_min is math.inf else jac_min,
+        "samples": samples,
+    }
+
+
+@pytest.mark.parametrize("name", list(strat_constructors()))
+def test_verify_matches_reference_loop(name):
+    m = strat_constructors()[name]
+    samples = 60 if name in ("winding_j2", "composite") else 200
+    for seed in (3, 808):
+        got = verify_stratified(m, samples, np.random.default_rng(seed))
+        want = verify_stratified_reference(m, samples, np.random.default_rng(seed))
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if value is None or name.startswith(("bump", "scaling")):
+                assert got[key] == value, key
+            else:
+                assert abs(got[key] - value) <= 1e-15, key
+
+
+def segment_roots_reference(f, grid=128):
+    """Zeros of a scalar function on [0, 1]: a scan of `grid` steps, one
+    call per grid point, then 80 bisection steps per sign change."""
+    svals = np.linspace(0.0, 1.0, grid + 1)
+    fvals = [f(s) for s in svals]
+    roots = []
+    for i in range(grid):
+        fa, fb = fvals[i], fvals[i + 1]
+        if fa == 0.0 and 0 < svals[i] < 1:
+            roots.append(svals[i])
+            continue
+        if fa * fb < 0:
+            lo, hi = svals[i], svals[i + 1]
+            flo = fa
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                fm = f(mid)
+                if flo * fm <= 0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            r = 0.5 * (lo + hi)
+            if 1e-12 < r < 1 - 1e-12:
+                roots.append(r)
+    return roots
+
+
+def break_params_reference(factors, a, b):
+    """Breaks of a composition along [a, b]: the first factor's roots by the
+    scalar scan, then the remaining factors on the image of each piece."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    roots = {r for g in factors[0].break_functions
+             for r in segment_roots_reference(lambda s: g(a + s * (b - a)))}
+    svals = sorted(roots | {0.0, 1.0})
+    out = {s for s in svals if 0 < s < 1}
+    if len(factors) > 1:
+        for s0, s1 in zip(svals, svals[1:]):
+            pa = factors[0].forward(a + s0 * (b - a))
+            pb = factors[0].forward(a + s1 * (b - a))
+            out.update(s0 + u * (s1 - s0) for u in break_params_reference(factors[1:], pa, pb))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("crossings", [2, 4])
+def test_winding_breaks_match_scalar_scan(crossings, monkeypatch):
+    composed = []
+    real_compose = stratmaps.compose
+    monkeypatch.setattr(stratmaps, "compose",
+                        lambda *maps: composed.append(maps) or real_compose(*maps))
+    rng = np.random.default_rng(100 + crossings)
+    for _ in range(3):
+        eps = float(rng.uniform(0.2, 0.3))
+        taus = [float(rng.uniform(0.8, 1.2))]
+        while len(taus) < crossings:
+            taus.append(taus[-1] + float(rng.uniform(0.9, 1.1)))
+        levels = [int(v) for v in rng.permutation([0, 1] * (crossings // 2))]
+        m = winding_map(taus, levels, [0.0, 0.45], eps, float(rng.uniform(0.5, 0.6)))
+        factors = composed[-1]
+        starts = np.array([[taus[0] - 1.0, 0.0, 0.0], [taus[0], 0.0, 0.0], [0.0, -0.1, 0.05]])
+        ends = np.array([[taus[-1] + 1.0, 0.0, 0.0], [taus[-1], 0.3, 0.1], [taus[-1], 0.2, -0.05]])
+        batch = m.path_break_params(starts, ends)
+        for a, b, got in zip(starts, ends, batch):
+            want = break_params_reference(factors, a, b)
+            assert len(want) >= 2 * crossings
+            assert got == want
+            assert m.path_break_params(a, b) == want
