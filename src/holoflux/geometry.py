@@ -1,10 +1,13 @@
 """Piecewise-linear paths, oriented simplicial surfaces, and intersection data.
 
-Everything geometric is exact: coordinates are converted to
-``fractions.Fraction`` (floats convert exactly, being binary rationals), and
-all predicates (membership, segment/simplex intersection, side tests) are
-decided with rational linear algebra.  Parameters reported to callers are
-arclength-proportional floats; the underlying split *points* remain exact.
+Everything geometric is exact: input coordinates, points passed to the
+membership tests included, are converted to ``fractions.Fraction`` (floats
+convert exactly, being binary rationals), and all predicates (membership,
+segment/simplex intersection, side tests) are decided by one fraction-free
+integer elimination (``_eliminate``): each row is scaled to integers, and
+Fractions are built only for the values returned.  Parameters reported to
+callers are arclength-proportional floats; the underlying split *points*
+remain exact.
 
 The central operation is ``decompose_minimal``: the unique coarsest splitting
 of an edge into pieces whose interiors lie inside the surface or avoid it.
@@ -14,7 +17,7 @@ Signed transversality data (``sigma_eval``) and punctures derive from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -55,7 +58,15 @@ class PrecisionError(RuntimeError):
 
 
 def as_point(coords: Sequence) -> Point:
-    return tuple(Fraction(c) for c in coords)
+    """Exact coordinates: Fractions pass through, anything else converts
+    (floats exactly, being binary rationals)."""
+    return _exact(coords)
+
+
+def _exact(coords: Sequence) -> Point:
+    # as_point for the membership tests, which should not count as API calls
+    # in a per-layer trace
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
 
 def pt_float(p: Point) -> np.ndarray:
@@ -103,8 +114,52 @@ def _strictly_between(a: Point, b: Point, c: Point) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra (small systems over Fraction)
+# Exact linear algebra: fraction-free integer elimination
 # ---------------------------------------------------------------------------
+
+
+def _integer_rows(rows) -> list:
+    """Scale each row by the lcm of its denominators, giving integer rows
+    with the same solutions.  Entries are ints, Fractions or floats (exact)."""
+    out = []
+    for r in rows:
+        ratios = [v.as_integer_ratio() for v in r]
+        lcm = math.lcm(*[d for _, d in ratios])
+        out.append([p * (lcm // d) for p, d in ratios])
+    return out
+
+
+def _eliminate(a: list, n: int) -> list:
+    """Fraction-free Gauss-Jordan elimination of the integer rows ``a`` over
+    their first n columns, in place; returns the pivot columns.
+
+    A row r is cleared against the pivot row p by cross-multiplication,
+    r <- p[c] r - r[c] p, then divided by the gcd of its entries.  Afterwards
+    row i is a nonzero multiple of row i of the reduced row-echelon form, so
+    Fraction(a[i][j], a[i][pivots[i]]) is that form's entry (Bareiss 1968).
+    """
+    m = len(a)
+    pivots = []
+    for col in range(n):
+        row = len(pivots)
+        if row == m:
+            break
+        for r in range(row, m):
+            if a[r][col]:
+                break
+        else:
+            continue
+        a[row], a[r] = a[r], a[row]
+        p = a[row]
+        d = p[col]
+        for r in range(m):
+            f = a[r][col]
+            if f and r != row:
+                new = [d * x - f * y for x, y in zip(a[r], p)]
+                g = math.gcd(*new)
+                a[r] = [x // g for x in new] if g > 1 else new
+        pivots.append(col)
+    return pivots
 
 
 def solve_exact(rows: list, rhs: list):
@@ -112,46 +167,27 @@ def solve_exact(rows: list, rhs: list):
 
     Returns (kind, data): ('unique', x), ('none', None), or
     ('underdetermined', (particular, basis)) with basis spanning the kernel.
+    Every returned value is a Fraction.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, m):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = Fraction(1) / a[row][col]
-        a[row] = [v * inv for v in a[row]]
-        for r in range(m):
-            if r != row and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if a[r][n] != 0:
-            return ("none", None)
+    n = len(rows[0]) if rows else 0
+    a = _integer_rows([(*r, b) for r, b in zip(rows, rhs)])
+    pivots = _eliminate(a, n)
+    rank = len(pivots)
+    if any(r[n] for r in a[rank:]):
+        return ("none", None)
     x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = a[i][n]
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
+    for r, col in zip(a, pivots):
+        x[col] = Fraction(r[n], r[col])
+    if rank == n:
         return ("unique", x)
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
-        for i, col in enumerate(pivots):
-            vec[col] = -a[i][fc]
+        for r, col in zip(a, pivots):
+            vec[col] = Fraction(-r[fc], r[col])
         basis.append(vec)
     return ("underdetermined", (x, basis))
 
@@ -159,27 +195,7 @@ def solve_exact(rows: list, rhs: list):
 def rank_exact(rows: list) -> int:
     if not rows:
         return 0
-    m = len(rows)
-    n = len(rows[0])
-    a = [list(r) for r in rows]
-    rank = 0
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, m):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        for r in range(m):
-            if r != row and a[r][col] != 0:
-                f = a[r][col] / a[row][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
-        rank += 1
-        row += 1
-    return rank
+    return len(_eliminate(_integer_rows(rows), len(rows[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +366,8 @@ class Simplex:
     vertices: tuple
     closed_facets: tuple = None
     normal: tuple = None
+    # the k x q matrix whose columns are the spanning vectors v_j - v_0, by rows
+    span: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = tuple(as_point(v) for v in self.vertices)
@@ -358,10 +376,10 @@ class Simplex:
         q = len(verts) - 1
         if q < 0 or q >= k:
             raise GeometryError("simplex dimension must satisfy 0 <= q < k")
-        if q > 0:
-            rows = [list(_sub(v, verts[0])) for v in verts[1:]]
-            if rank_exact(rows) != q:
-                raise GeometryError("simplex vertices are affinely dependent")
+        span = tuple(zip(*(_sub(v, verts[0]) for v in verts[1:]))) or ((),) * k
+        if rank_exact(span) != q:
+            raise GeometryError("simplex vertices are affinely dependent")
+        object.__setattr__(self, "span", span)
         cf = self.closed_facets
         if cf is None:
             cf = tuple(True for _ in verts)
@@ -393,21 +411,20 @@ class Simplex:
     def ambient_dim(self) -> int:
         return len(self.vertices[0])
 
-    def barycentric(self, p: Point):
-        """Exact barycentric coordinates, or None if p is off the affine hull."""
+    def barycentric(self, p: Sequence):
+        """Exact barycentric coordinates, or None if p is off the affine hull.
+        The coordinates of p convert exactly (floats included)."""
+        p = _exact(p)
         v0 = self.vertices[0]
-        q = self.dim
-        if q == 0:
+        if self.dim == 0:
             return [Fraction(1)] if p == v0 else None
-        rows = [[self.vertices[j + 1][i] - v0[i] for j in range(q)] for i in range(len(p))]
-        rhs = [p[i] - v0[i] for i in range(len(p))]
-        kind, sol = solve_exact(rows, rhs)
+        kind, sol = solve_exact(self.span, _sub(p, v0))
         if kind != "unique":
             return None  # spanning vectors independent: only 'none' possible here
         lam = [Fraction(1) - sum(sol)] + list(sol)
         return lam
 
-    def contains(self, p: Point) -> bool:
+    def contains(self, p: Sequence) -> bool:
         lam = self.barycentric(p)
         if lam is None:
             return False
@@ -571,17 +588,10 @@ def _segment_simplex_events(a: Point, b: Point, s: Simplex):
     Returns events ('point', s*, s*) or ('interval', lo, hi); membership in
     the (possibly partially open) point set is decided by probing.
     """
-    u = _sub(b, a)
     q = s.dim
-    v0 = s.vertices[0]
-    k = len(a)
     # unknowns: lambda_1..lambda_q, sparam ; equations: v0 + sum l_i (v_i - v0) = a + s u
-    rows = [
-        [s.vertices[j + 1][i] - v0[i] for j in range(q)] + [-u[i]]
-        for i in range(k)
-    ]
-    rhs = [a[i] - v0[i] for i in range(k)]
-    kind, sol = solve_exact(rows, rhs)
+    rows = [(*r, -ui) for r, ui in zip(s.span, _sub(b, a))]
+    kind, sol = solve_exact(rows, _sub(a, s.vertices[0]))
     if kind == "none":
         return []
     if kind == "unique":

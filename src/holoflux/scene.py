@@ -1,6 +1,8 @@
 """JSON serialization for scenes, cylindrical functions, and Weyl labels.
 
-Scene files carry PL paths and oriented simplicial surfaces:
+Scene files carry PL paths and oriented simplicial surfaces.  A coordinate
+is a JSON number when a double holds it exactly and a "p/q" string otherwise,
+so a scene written and read back is the same scene:
 
     {"schema": 1, "dimension": k,
      "paths": [{"id": ..., "vertices": [[...], ...]}, ...],
@@ -16,6 +18,7 @@ coefficients as [re, im] pairs, factors as {"irrep": "su2:1/2", "m": 0,
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import numpy as np
 
@@ -45,8 +48,18 @@ class SceneError(ValueError):
     """Malformed scene or function description."""
 
 
-def _num(x) -> float:
-    return float(x)
+def _num(x):
+    """A JSON number when a double holds x exactly, else the string "p/q"."""
+    f = float(x)
+    return f if f == x else str(x)
+
+
+def _point(coords) -> tuple:
+    """Exact coordinates from JSON numbers or "p/q" strings."""
+    try:
+        return tuple(Fraction(c) for c in coords)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise SceneError(f"bad coordinates {coords!r}: {exc}") from None
 
 
 def scene_to_json(dimension: int, paths: dict, surfaces: dict) -> dict:
@@ -85,7 +98,7 @@ def scene_from_json(obj: dict):
     dimension = int(obj["dimension"])
     paths = {}
     for p in obj.get("paths", []):
-        paths[p["id"]] = PolyPath(p["vertices"])
+        paths[p["id"]] = PolyPath([_point(v) for v in p["vertices"]])
     surfaces = {}
     for s in obj.get("surfaces", []):
         pieces = []
@@ -95,7 +108,8 @@ def scene_from_json(obj: dict):
             closed = [True] * len(verts)
             for i in open_list:
                 closed[i] = False
-            pieces.append(Simplex(verts, closed_facets=closed, normal=nrm))
+            pieces.append(Simplex([_point(v) for v in verts], closed_facets=closed,
+                                  normal=None if nrm is None else _point(nrm)))
         rule = s.get("rule", "natural")
         inverted = rule == "inverse"
         surfaces[s["id"]] = OrientedSurface(

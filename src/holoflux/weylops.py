@@ -257,35 +257,34 @@ def map_weyl_descriptor(phi: Graphomorphism, w: WeylDescriptor) -> WeylDescripto
 
 
 def _map_surface_strat(strat, surface: OrientedSurface) -> OrientedSurface:
-    """Map a surface through a stratified map acting affinely on its pieces."""
+    """Map a surface through a stratified map acting affinely on its pieces.
+
+    Each piece's vertices, edge midpoints and finite-difference points are
+    mapped in one batch each (batch rows equal one-point results).
+    """
     from fractions import Fraction
 
     from .geometry import Simplex, pt_float
 
     new_pieces = []
     for s in surface.pieces:
-        verts_f = [pt_float(v) for v in s.vertices]
-        images = [np.asarray(strat.forward(v), dtype=float) for v in verts_f]
+        verts = np.array([pt_float(v) for v in s.vertices])
+        images = np.asarray(strat.forward(verts), dtype=float)
         # affineness check on edge midpoints
-        for i in range(len(verts_f)):
-            for j in range(i + 1, len(verts_f)):
-                mid = 0.5 * (verts_f[i] + verts_f[j])
-                fmid = np.asarray(strat.forward(mid), dtype=float)
-                if np.linalg.norm(fmid - 0.5 * (images[i] + images[j])) > 1e-9:
-                    raise DomainError("stratified map is not affine on the surface")
+        i, j = np.triu_indices(len(verts), 1)
+        fmid = np.asarray(strat.forward(0.5 * (verts[i] + verts[j])), dtype=float)
+        if np.any(np.linalg.norm(fmid - 0.5 * (images[i] + images[j]), axis=-1) > 1e-9):
+            raise DomainError("stratified map is not affine on the surface")
         normal = None
         if s.normal is not None:
-            # linear part from finite differences at the barycenter
-            base = np.mean(verts_f, axis=0)
+            # linear part from central differences at the barycenter
+            base = np.mean(verts, axis=0)
             k = len(base)
-            lin = np.empty((k, k))
             h = 1e-6
-            for c in range(k):
-                e = np.zeros(k)
-                e[c] = h
-                lin[:, c] = (
-                    np.asarray(strat.forward(base + e)) - np.asarray(strat.forward(base - e))
-                ) / (2 * h)
+            steps = h * np.eye(k)
+            fd = np.asarray(strat.forward(np.concatenate([base + steps, base - steps])),
+                            dtype=float)
+            lin = (fd[:k] - fd[k:]).T / (2 * h)
             n = np.linalg.solve(lin.T, pt_float(s.normal))
             n /= np.linalg.norm(n)
             normal = tuple(Fraction(float(c)) for c in n)

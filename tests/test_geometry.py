@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holoflux.geometry import (
@@ -12,6 +12,7 @@ from holoflux.geometry import (
     OrientedSurface,
     PolyPath,
     Simplex,
+    as_point,
     build_graph,
     completely_transversal,
     decompose_minimal,
@@ -19,8 +20,10 @@ from holoflux.geometry import (
     map_path,
     map_surface,
     punctures,
+    rank_exact,
     sigma_eval,
     sigma_pair,
+    solve_exact,
 )
 
 
@@ -486,3 +489,156 @@ def test_natural_equals_topological_on_pl(seed):
     topo = OrientedSurface(surface.pieces, rule="topological",
                            piece_ids=surface.piece_ids, validate=False)
     assert sigma_pair(surface, gamma) == sigma_pair(topo, gamma)
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra: the integer kernel against a Fraction Gauss-Jordan
+# ---------------------------------------------------------------------------
+
+
+def solve_exact_reference(rows, rhs):
+    """Gauss-Jordan elimination over Fraction, the kernel's former loop."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+    pivots = []
+    row = 0
+    for col in range(n):
+        piv = None
+        for r in range(row, m):
+            if a[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = Fraction(1) / a[row][col]
+        a[row] = [v * inv for v in a[row]]
+        for r in range(m):
+            if r != row and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[row])]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    for r in range(row, m):
+        if a[r][n] != 0:
+            return ("none", None)
+    x = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        x[col] = a[i][n]
+    free = [c for c in range(n) if c not in pivots]
+    if not free:
+        return ("unique", x)
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for i, col in enumerate(pivots):
+            vec[col] = -a[i][fc]
+        basis.append(vec)
+    return ("underdetermined", (x, basis))
+
+
+def rank_reference(rows):
+    """n minus the kernel dimension of the homogeneous system."""
+    kind, sol = solve_exact_reference(rows, [Fraction(0)] * len(rows))
+    n = len(rows[0])
+    return n if kind == "unique" else n - len(sol[1])
+
+
+def returned_values(result):
+    kind, sol = result
+    if kind == "none":
+        return []
+    if kind == "unique":
+        return list(sol)
+    part, basis = sol
+    return list(part) + [v for vec in basis for v in vec]
+
+
+small_q = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 5, 7]))
+nonzero_q = small_q.filter(bool)
+entry = st.one_of(st.just(Fraction(0)), small_q)  # many zeros
+
+
+@st.composite
+def linear_systems(draw):
+    """A rational system A x = b of 1-4 x 1-4 (or 3x2, 3x3, k x k) with
+    rows made dependent on purpose and a consistent or perturbed rhs."""
+    m, n = draw(st.one_of(
+        st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        st.sampled_from([(3, 2), (3, 3)]),
+        st.integers(1, 4).map(lambda k: (k, k)),
+    ))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    for i in range(1, m):
+        if draw(st.booleans()):  # row i := c row j (+ d row l)
+            j, l = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            c, d = draw(small_q), draw(entry)
+            rows[i] = [c * u + d * w for u, w in zip(rows[j], rows[l])]
+    x0 = [draw(small_q) for _ in range(n)]
+    rhs = [sum(a * x for a, x in zip(r, x0)) for r in rows]
+    if draw(st.booleans()):  # inconsistent whenever row i depends on the others
+        i = draw(st.integers(0, m - 1))
+        rhs[i] += draw(nonzero_q)
+    return rows, rhs
+
+
+F = Fraction
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_systems())
+@example(([[F(1), F(2)], [F(2), F(4)], [F(0), F(1)]], [F(1), F(2), F(3)]))    # unique
+@example(([[F(1), F(2)], [F(2), F(4)], [F(-1), F(-2)]], [F(1), F(3), F(0)]))  # none
+@example(([[F(0), F(-3, 2), F(1)], [F(0), F(3), F(-2)]], [F(1, 3), F(-2, 3)]))  # underdetermined
+@example(([[F(0)]], [F(0)]))
+@example(([[F(0)]], [F(5, 7)]))
+def test_integer_kernel_matches_fraction_gauss_jordan(system):
+    rows, rhs = system
+    got = solve_exact(rows, rhs)
+    assert got == solve_exact_reference(rows, rhs)
+    assert all(type(v) is Fraction for v in returned_values(got))
+    assert rank_exact(rows) == rank_reference(rows)
+
+
+def test_kernel_returns_fractions_for_int_and_float_entries():
+    kind, x = solve_exact([[2, 1], [1, 3]], [1, 2])
+    assert kind == "unique" and x == [F(1, 5), F(3, 5)]
+    assert all(type(v) is Fraction for v in x)
+    # floats enter exactly: 0.1 is 3602879701896397/2^55, not 1/10
+    kind, x = solve_exact([[1.0, 0.0], [0.0, 0.5]], [0.1, 1.0])
+    assert kind == "unique" and x == [F(0.1), F(2)]
+    assert all(type(v) is Fraction for v in x)
+    assert rank_exact([[0.5, 1.0], [1, 2]]) == 1
+
+
+# ---------------------------------------------------------------------------
+# membership of float points is decided exactly
+# ---------------------------------------------------------------------------
+
+
+def test_float_point_membership_is_exact():
+    # the float 1/3 lies 1.9e-17 off the plane x = 1/3
+    s = Simplex([(F(1, 3), 0, 0), (F(1, 3), 1, 0), (F(1, 3), 0, 1)])
+    p = (1 / 3, 0.25, 0.25)
+    assert F(p[0]) != F(1, 3)
+    assert not s.contains(p)
+    assert s.barycentric(p) is None
+    assert s.contains((F(1, 3), 0.25, 0.25))
+    assert all(type(v) is Fraction for v in s.barycentric((F(1, 3), 0.25, 0.25)))
+    surface = OrientedSurface([s])
+    assert surface.find_piece(p) == (None, None)
+    assert not surface.contains(p)
+    assert surface.contains(as_point((F(1, 3), 0.25, 0.25)))
+
+
+def test_simplex_spanning_vectors_stored_once():
+    s = Simplex([(1, 0, 0), (2, 0, 0), (1, 3, 0)])
+    assert s.span == ((1, 0), (0, 3), (0, 0))
+    assert s == Simplex([(1, 0, 0), (2, 0, 0), (1, 3, 0)])
+    point = Simplex([(1, 2)])
+    assert point.span == ((), ())
+    assert point.contains((1.0, 2)) and not point.contains((1, 2.5))

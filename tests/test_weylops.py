@@ -20,6 +20,7 @@ from holoflux.geometry import (
     OrientedSurface,
     PolyPath,
     Simplex,
+    pt_float,
 )
 from holoflux.liegroup import (
     PAULI,
@@ -30,6 +31,7 @@ from holoflux.liegroup import (
     parse_irrep,
     u1_element,
 )
+from holoflux.stratmaps import EuclideanGauge, bump_map, scaling_map
 from holoflux.weylops import (
     GaugeTransform,
     Graphomorphism,
@@ -228,6 +230,79 @@ def test_weyl_graphomorphism_covariance():
         lhs = apply_graphomorphism(phi, apply_weyl(w, pulled_back))
         rhs = apply_weyl(w_moved, u)
         assert norm_l2(lhs - rhs) <= 1e-12
+
+
+# stratified graphomorphisms, against one-point forward calls
+
+
+def exact(v):
+    return tuple(Fraction(float(c)) for c in v)
+
+
+def map_surface_strat_reference(strat, surface):
+    """One forward call per vertex, edge midpoint and difference point."""
+    pieces = []
+    for s in surface.pieces:
+        verts = [pt_float(v) for v in s.vertices]
+        images = [strat.forward(v) for v in verts]
+        for i in range(len(verts)):
+            for j in range(i + 1, len(verts)):
+                mid = strat.forward(0.5 * (verts[i] + verts[j]))
+                assert np.linalg.norm(mid - 0.5 * (images[i] + images[j])) <= 1e-9
+        normal = None
+        if s.normal is not None:
+            base = np.mean(verts, axis=0)
+            k, h = len(base), 1e-6
+            lin = np.empty((k, k))
+            for c in range(k):
+                e = np.zeros(k)
+                e[c] = h
+                lin[:, c] = (strat.forward(base + e) - strat.forward(base - e)) / (2 * h)
+            n = np.linalg.solve(lin.T, pt_float(s.normal))
+            normal = exact(n / np.linalg.norm(n))
+        pieces.append((tuple(exact(v) for v in images), normal, s.closed_facets))
+    return pieces
+
+
+def test_stratified_graphomorphism_on_surface_scaling():
+    strat = scaling_map(EuclideanGauge(3), 2.0, 0.1)
+    q = Fraction(1, 4)
+    surface = OrientedSurface([
+        Simplex([(q, -q, -q), (q, 2 * q, -q), (q, -q, 2 * q)], normal=(1, 0, 0),
+                closed_facets=(True, False, True)),
+        Simplex([(-q, 0, 0), (-q, q, 0), (-2 * q, 0, q)]),
+    ])
+    moved = Graphomorphism(strat=strat).on_surface(surface)
+    want = map_surface_strat_reference(strat, surface)
+    assert [(p.vertices, p.normal, p.closed_facets) for p in moved.pieces] == want
+    # lambda * id on the core: vertices double exactly, the normal stays +x
+    assert moved.pieces[0].vertices == tuple(tuple(2 * c for c in v)
+                                             for v in surface.pieces[0].vertices)
+    assert np.allclose(pt_float(moved.pieces[0].normal), [1, 0, 0], atol=1e-9)
+    assert moved.piece_ids == surface.piece_ids
+
+
+def test_stratified_graphomorphism_on_path_and_point_bump():
+    strat = bump_map(-1.0, 1.0, 0.25, 0.8, 3)
+    phi = Graphomorphism(strat=strat)
+    path = PolyPath([(-2, 0, 0), (0, Fraction(1, 8), 0), (2, 0, 0)])
+    # reference: split one segment at a time, map one point at a time
+    verts = [pt_float(v) for v in path.vertices]
+    refined = [verts[0]]
+    for a, b in zip(verts, verts[1:]):
+        for s in strat.path_break_params(a, b):
+            refined.append(a + s * (b - a))
+        refined.append(b)
+    want = PolyPath([exact(strat.forward(v)) for v in refined], validate=False)
+    image = phi.on_path(path)
+    assert image.vertices == want.vertices
+    assert max(float(v[1]) for v in image.vertices) == pytest.approx(1.6 + 1 / 8)  # lifted by 2a
+    points = [(0, 0, 0), (Fraction(-9, 8), Fraction(1, 10), 0), (Fraction(1, 2), 1, Fraction(1, 8)),
+              (3, 0, 0)]
+    batch = strat.forward(np.array([pt_float(p) for p in points]))
+    for p, row in zip(points, batch):
+        assert phi.on_point(p) == exact(strat.forward(pt_float(p))) == exact(row)
+    assert phi.on_point((3, 0, 0)) == (3, 0, 0)  # outside the box: identity
 
 
 # ---------------------------------------------------------------------------
