@@ -7,11 +7,17 @@ through third order in t.  The checks here turn that agreement, the
 operator-product estimate, and the brute-force winding averages into
 numerical certificates, and assemble the scalar-product and splitting
 evidence computations on explicit scenes.
+
+The oracles work on numpy stacks: Xi at every t of a call from one stack of
+exponentials per basis element, the operator-product and chain bounds as
+stacked products over all draws, and the winding averages over every
+assignment's state as rows built in bounded blocks (``_winding_rows``).
+Random numbers are drawn in the order of the per-sample reference loops in
+``tests/test_estimates.py``, so seeded results are bit for bit theirs.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -31,9 +37,12 @@ from .liegroup import (
     GroupElement,
     Irrep,
     LieBasis,
+    _check_group_stack,
+    _exp_alg_stack,
+    _haar_matrices,
+    _haar_raw,
     character,
     exp_alg,
-    haar_sample,
     haar_sample_matrices,
 )
 from .weylops import apply_weyl, weyl_constant
@@ -56,10 +65,20 @@ __all__ = [
 
 def xi(rho: Irrep, basis: LieBasis, t: float) -> np.ndarray:
     """The symmetrized average of rho(e^{+-t X_i}) over the basis."""
-    dim = rho.dim
-    acc = np.zeros((dim, dim), dtype=complex)
+    return _xi_many(rho, basis, [t])[0]
+
+
+def _xi_many(rho: Irrep, basis: LieBasis, ts) -> np.ndarray:
+    """``xi`` at every t, shape (len(ts), dim, dim): per basis element one
+    diagonalization, the exponentials at +-t as one validated stack and one
+    ``evaluate_many``."""
+    ts = np.asarray(ts, dtype=float)
+    acc = np.zeros((len(ts), rho.dim, rho.dim), dtype=complex)
     for x in basis.elements:
-        acc += rho.evaluate(exp_alg(x, t)) + rho.evaluate(exp_alg(x, -t))
+        group, mats = _exp_alg_stack(x, np.concatenate([ts, -ts]))
+        _check_group_stack(group, mats)
+        reps = rho.evaluate_many(mats)  # rejects a stack of the other group
+        acc += reps[:len(ts)] + reps[len(ts):]
     return acc / (2 * basis.n)
 
 
@@ -72,17 +91,16 @@ class XiProfile:
 
     @classmethod
     def build(cls, rho: Irrep, basis: LieBasis, grid) -> "XiProfile":
-        vals = tuple(xi(rho, basis, float(t)) for t in grid)
-        prof = cls(rho, basis, tuple(float(t) for t in grid), vals)
+        grid = tuple(float(t) for t in grid)
+        prof = cls(rho, basis, grid, tuple(_xi_many(rho, basis, grid)))
         prof.check_invariants()
         return prof
 
     def check_invariants(self, atol: float = 1e-12):
-        ident = xi(self.rho, self.basis, 0.0)
+        ident, *negated = _xi_many(self.rho, self.basis, [0.0] + [-t for t in self.grid])
         if np.linalg.norm(ident - np.eye(self.rho.dim)) > atol:
             raise ValueError("Xi(0) must be the identity")
-        for t, v in zip(self.grid, self.values):
-            v_neg = xi(self.rho, self.basis, -t)
+        for v, v_neg in zip(self.values, negated):
             if np.linalg.norm(v - v_neg) > atol:
                 raise ValueError("Xi must be even in t")
             if np.linalg.norm(v - v.conj().T) > atol:
@@ -99,32 +117,30 @@ def casimir_gap_check(rho: Irrep, basis: LieBasis, t0: float, grid) -> dict:
     """
     lam = basis.casimir_eigenvalue(rho)
     ident = np.eye(rho.dim)
-    gvals = []
-    for t in grid:
-        t = float(t)
-        if not (0 < abs(t) < t0):
-            raise ValueError("grid points must lie in (0, t0)")
-        dev = np.linalg.norm(xi(rho, basis, t) - math.exp(-lam * t * t / 2) * ident, 2)
-        gvals.append(dev / t**4)
-    eta_hat = 1.05 * max(gvals)
-
-    def f(t):
-        return xi(rho, basis, t) - math.exp(-lam * t * t / 2) * ident
-
+    ts = [float(t) for t in grid]
+    if not all(0 < abs(t) < t0 for t in ts):
+        raise ValueError("grid points must lie in (0, t0)")
     h = 1e-2
+    probes = [h, -h, h / 2, -h / 2, 2 * h, -2 * h, 0.0]
+    xis = _xi_many(rho, basis, ts + probes)
+    # f(t) = Xi(t) - e^{-lambda t^2/2} I at the grid points, then at the probes
+    devs = xis - np.array([math.exp(-lam * t * t / 2) for t in ts + probes])[:, None, None] * ident
+    gvals = [dev / t**4 for dev, t in zip(np.linalg.norm(devs[:len(ts)], 2, axis=(1, 2)), ts)]
+    eta_hat = 1.05 * max(gvals)
+    f = dict(zip(probes, devs[len(ts):]))
 
     def d1(hh):
-        return np.linalg.norm(f(hh) - f(-hh)) / (2 * hh)
+        return np.linalg.norm(f[hh] - f[-hh]) / (2 * hh)
 
     def d3(hh):
-        return np.linalg.norm(f(2 * hh) - 2 * f(hh) + 2 * f(-hh) - f(-2 * hh)) / (
+        return np.linalg.norm(f[2 * hh] - 2 * f[hh] + 2 * f[-hh] - f[-2 * hh]) / (
             2 * hh**3
         )
 
     # Richardson extrapolation kills the next-order term
     d1_val = abs((4 * d1(h / 2) - d1(h)) / 3)
     d3_val = abs((4 * d3(h / 2) - d3(h)) / 3)
-    d2_val = np.linalg.norm(f(h) - 2 * f(0.0) + f(-h)) / h**2
+    d2_val = np.linalg.norm(f[h] - 2 * f[0.0] + f[-h]) / h**2
     report = {
         "lambda": lam,
         "eta_hat": eta_hat,
@@ -143,28 +159,30 @@ def opprod_bound_check(n_factors: int, rng: np.random.Generator,
 
     |prod A_i B_i - prod A B_i| <= prod (1 + |A_i - A|) - 1 for contractions
     A, B_i and bounded A_i; zero violations allowed (1e-12 float slack).
+    Each draw takes A, then A_1..A_n, then B_1..B_n, each a Haar sample
+    scaled by a uniform in [0.2, 1]; the products are formed on the stack.
     """
-    if n_factors > 8:
-        raise ValueError("n_factors capped at 8")
-    violations = 0
-    worst_margin = math.inf
-    for _ in range(draws):
-        a = haar_sample(rng, group).matrix * rng.uniform(0.2, 1.0)
-        a_i = [haar_sample(rng, group).matrix * rng.uniform(0.2, 1.0) for _ in range(n_factors)]
-        b_i = [haar_sample(rng, group).matrix * rng.uniform(0.2, 1.0) for _ in range(n_factors)]
-        lhs_prod = np.eye(a.shape[0], dtype=complex)
-        rhs_prod = np.eye(a.shape[0], dtype=complex)
-        bound = 1.0
-        for ai, bi in zip(a_i, b_i):
-            lhs_prod = lhs_prod @ (ai @ bi)
-            rhs_prod = rhs_prod @ (a @ bi)
-            bound *= 1.0 + np.linalg.norm(ai - a, 2)
-        lhs = np.linalg.norm(lhs_prod - rhs_prod, 2)
-        rhs = bound - 1.0
-        worst_margin = min(worst_margin, rhs - lhs)
-        if lhs > rhs + 1e-12:
-            violations += 1
-    return {"violations": violations, "worst_margin": worst_margin, "draws": draws}
+    if not 0 <= n_factors <= 8:
+        raise ValueError("n_factors must lie in 0..8")
+    per_draw = 1 + 2 * n_factors
+    raw, scales = [_haar_raw(rng, group, 0)], []  # the empty draw shapes draws = 0
+    for _ in range(draws * per_draw):  # the rng interleaves each sample with its scale
+        raw.append(_haar_raw(rng, group, 1))
+        scales.append(rng.uniform(0.2, 1.0))
+    mats = _haar_matrices(group, np.concatenate(raw))
+    _check_group_stack(group, mats)
+    mats = (mats * np.array(scales)[:, None, None]).reshape(draws, per_draw, *mats.shape[1:])
+    a, a_i, b_i = mats[:, 0], mats[:, 1:1 + n_factors], mats[:, 1 + n_factors:]
+    lhs_prod = rhs_prod = np.broadcast_to(np.eye(mats.shape[-1], dtype=complex), a.shape)
+    bound = np.ones(draws)
+    for i in range(n_factors):
+        lhs_prod = lhs_prod @ (a_i[:, i] @ b_i[:, i])
+        rhs_prod = rhs_prod @ (a @ b_i[:, i])
+        bound *= 1.0 + np.linalg.norm(a_i[:, i] - a, 2, axis=(1, 2))
+    lhs = np.linalg.norm(lhs_prod - rhs_prod, 2, axis=(1, 2))
+    rhs = bound - 1.0
+    return {"violations": int(np.count_nonzero(lhs > rhs + 1e-12)),
+            "worst_margin": np.min(rhs - lhs, initial=math.inf), "draws": draws}
 
 
 def tensor_casimir_check(rho: Irrep, basis: LieBasis, j_factors: int, t0: float,
@@ -177,24 +195,21 @@ def tensor_casimir_check(rho: Irrep, basis: LieBasis, j_factors: int, t0: float,
     lam = basis.casimir_eigenvalue(rho)
     if eta_hat is None:
         eta_hat = casimir_gap_check(rho, basis, t0, grid)["eta_hat"]
+    ts = [float(t) for t in grid]
     violations = 0
     worst_margin = math.inf
-    for t in grid:
-        t = float(t)
-        xi_t = xi(rho, basis, t)
+    for t, xi_t in zip(ts, _xi_many(rho, basis, ts)):
         scal = math.exp(-lam * j_factors * t * t / 2)
         rhs = math.exp(eta_hat * j_factors * t**4) - 1.0
         draws = haar_sample_matrices(rng, rho.group, samples * (j_factors + 1))
         reps = rho.evaluate_many(draws).reshape(samples, j_factors + 1, rho.dim, rho.dim)
-        for gs in reps:
-            lhs_prod = plain = gs[0]
-            for gj in gs[1:]:
-                lhs_prod = lhs_prod @ (xi_t @ gj)
-                plain = plain @ gj
-            lhs = np.linalg.norm(lhs_prod - scal * plain, 2)
-            worst_margin = min(worst_margin, rhs - lhs)
-            if lhs > rhs + 1e-12:
-                violations += 1
+        lhs_prod = plain = reps[:, 0]
+        for j in range(1, j_factors + 1):
+            lhs_prod = lhs_prod @ (xi_t @ reps[:, j])
+            plain = plain @ reps[:, j]
+        lhs = np.linalg.norm(lhs_prod - scal * plain, 2, axis=(1, 2))
+        worst_margin = min(worst_margin, np.min(rhs - lhs, initial=math.inf))
+        violations += int(np.count_nonzero(lhs > rhs + 1e-12))
     return {
         "violations": violations,
         "worst_margin": worst_margin,
@@ -249,14 +264,66 @@ def _assignment_state(t_state: CylFun, mults: dict, edge_ids, assignment,
     return CylFun(t_state.graph, t_state.group, _rewrite_edges(t_state.terms, rules))
 
 
+_WINDING_BLOCK = 2**16  # rows x dim^J entries per block of ``_winding_rows``: ~1 MB
+
+
+def _winding_rows(rho: Irrep, basis: LieBasis, j_factors: int, t: float, s_base: int):
+    """Every winding assignment's chain state, as blocks of rows.
+
+    Row k is the k-th assignment of ``itertools.product(range(2n), repeat=J)``
+    as ``_assignment_state`` builds it on ``chain_gsn(rho, J + 1)``: its
+    coefficients over the dim^J index tuples (r_1, .., r_J) of the factors
+    (rho, r_j, 0) on edges 1..J, in C order.  Each is the product of the
+    multipliers' row-0 entries rho(e^{(-1)^(j+s) X t})^0_(r_j), multiplied in
+    edge order.
+    """
+    mults = _winding_multipliers(rho, _signed_basis(basis), t)
+    tables = [np.array([m[0] for m in mults[(-1) ** (j + s_base)]])
+              for j in range(1, j_factors + 1)]
+    two_n = 2 * basis.n
+    n_assign = two_n**j_factors
+    place = two_n ** np.arange(j_factors - 1, -1, -1)
+    rows = max(1, _WINDING_BLOCK // rho.dim**j_factors)
+    for lo in range(0, n_assign, rows):
+        digits = np.arange(lo, min(lo + rows, n_assign))[:, None] // place % two_n
+        state = np.ones((len(digits), 1), dtype=complex)
+        for j, table in enumerate(tables):
+            state = (state[:, :, None] * table[digits[:, j], None, :]).reshape(len(digits), -1)
+        yield state
+
+
+def _add_rows(acc: np.ndarray, rows: np.ndarray, n_assign: int) -> np.ndarray:
+    """acc + rows / n_assign summed row by row, in order; each part of a
+    complex divided by n_assign as Python divides a complex by an int."""
+    scaled = (rows.view(np.float64) / n_assign).view(complex)
+    return np.cumsum(np.concatenate([acc[None], scaled]), axis=0)[-1]
+
+
+def _average_deviation(rho: Irrep, t_state: CylFun, edge_ids, xi_t: np.ndarray,
+                       acc: np.ndarray) -> float:
+    """Largest coefficient gap between the averaged rows ``acc`` and the
+    state with Xi(t) inserted on edges 1..J (``insert_left_matrix``)."""
+    expected = t_state
+    for eid in edge_ids[1:]:
+        expected = insert_left_matrix(expected, eid, xi_t)
+    dense = np.zeros_like(acc)
+    for key, coeff in expected.terms.items():
+        factors, col = dict(key), 0
+        for eid in edge_ids[1:]:
+            col = col * rho.dim + factors[eid][1]
+        dense[col] = coeff
+    return float(np.abs(acc - dense).max())
+
+
 def winding_average_check(rho: Irrep, basis: LieBasis, j_factors: int, t: float,
                           s_base: int = 1, eta_hat: float = None,
                           t0: float = 1.0, cap: int = 10**6) -> dict:
     """Brute-force winding average versus the tensor-of-Xi form, exactly.
 
     Averages the (2n)^J multiplier-inserted chain states over all
-    assignments and compares coefficients against inserting Xi(t) on each
-    edge; also evaluates the chain sup-norm bound with margin.
+    assignments (``_winding_rows``) and compares coefficients against
+    inserting Xi(t) on each edge; also evaluates the chain sup-norm bound
+    with margin.
     """
     if j_factors % 2 != 0:
         raise ValueError("J must be even")
@@ -266,18 +333,11 @@ def winding_average_check(rho: Irrep, basis: LieBasis, j_factors: int, t: float,
         raise ValueError("assignment enumeration exceeds the cap")
     t_state = chain_gsn(rho, j_factors + 1)
     edge_ids = sorted(t_state.graph.edges)
-    mults = _winding_multipliers(rho, _signed_basis(basis), t)
-    acc = {}
-    for assignment in itertools.product(range(two_n), repeat=j_factors):
-        state = _assignment_state(t_state, mults, edge_ids, assignment, s_base)
-        for key, coeff in state.terms.items():
-            acc[key] = acc.get(key, 0) + coeff / n_assign
+    acc = np.zeros(rho.dim**j_factors, dtype=complex)
+    for rows in _winding_rows(rho, basis, j_factors, t, s_base):
+        acc = _add_rows(acc, rows, n_assign)
     xi_t = xi(rho, basis, t)
-    expected = t_state
-    for eid in edge_ids[1:]:
-        expected = insert_left_matrix(expected, eid, xi_t)
-    keys = set(acc) | set(expected.terms)
-    max_dev = max(abs(acc.get(k, 0) - expected.terms.get(k, 0)) for k in keys)
+    max_dev = _average_deviation(rho, t_state, edge_ids, xi_t, acc)
 
     # chain sup-norm bound (Xi is scalar for the bases used here)
     lam = basis.casimir_eigenvalue(rho)
@@ -456,28 +516,19 @@ def splitting_witness(rho: Irrep, basis: LieBasis, t_grid,
         any_admissible = True
         t_state = chain_gsn(rho, j + 1)
         edge_ids = sorted(t_state.graph.edges)
-        mults = _winding_multipliers(rho, _signed_basis(basis), t)
-        witness_max = 0.0
-        overlap_min = math.inf
-        nonconst_max = 0.0
-        acc = {}
         n_assign = signed_count**j
-        for assignment in itertools.product(range(signed_count), repeat=j):
-            moved = _assignment_state(t_state, mults, edge_ids, assignment, s_base)
-            # f = 1 + T: <1, (w_t - 1) f> = <1, moved> - <1, T>
-            witness = abs(moved.constant_part - t_state.constant_part)
-            witness_max = max(witness_max, witness)
-            ov = inner_product_exact(t_state, moved).real
-            overlap_min = min(overlap_min, ov)
-            nonconst_max = max(nonconst_max, math.sqrt(max(0.0, 2.0 - 2.0 * ov)))
-            for key, coeff in moved.terms.items():
-                acc[key] = acc.get(key, 0) + coeff / n_assign
-        xi_t = xi(rho, basis, t)
-        expected = t_state
-        for eid in edge_ids[1:]:
-            expected = insert_left_matrix(expected, eid, xi_t)
-        keys = set(acc) | set(expected.terms)
-        avg_dev = max(abs(acc.get(k, 0) - expected.terms.get(k, 0)) for k in keys)
+        acc = np.zeros(rho.dim**j, dtype=complex)
+        overlap_min = math.inf
+        for rows in _winding_rows(rho, basis, j, t, s_base):
+            acc = _add_rows(acc, rows, n_assign)
+            # <T, moved> is the coefficient of T's own monomial, all indices 0
+            overlap_min = min(overlap_min, float(rows[:, 0].real.min()))
+        # f = 1 + T: <1, (w_t - 1) f> = <1, moved> - <1, T>, where <1, moved> = 0
+        # for every row: the rows hold only monomials with a factor on every edge
+        witness_max = abs(t_state.constant_part)
+        # |moved - T| = sqrt(2 - 2 ov) falls as ov rises: its max is at overlap_min
+        nonconst_max = math.sqrt(max(0.0, 2.0 - 2.0 * overlap_min))
+        avg_dev = _average_deviation(rho, t_state, edge_ids, xi(rho, basis, t), acc)
         scal = math.exp(-lam * j * t * t / 2)
         slack = math.exp(eta_hat * j * t**4) - 1.0
         threshold = math.sqrt(max(0.0, 2.0 - 2.0 * (scal + slack)))

@@ -235,11 +235,14 @@ class PolyPath:
         for a, b in zip(verts, verts[1:]):
             if a == b:
                 raise GeometryError("consecutive vertices must be distinct")
-        verts = _canonical_vertices(verts)
-        self.vertices = verts
-        self.dim = k
+        self._set_vertices(_canonical_vertices(verts), k)
         if validate:
             self._check_injective()
+
+    def _set_vertices(self, verts: tuple, dim: int):
+        """Store canonical vertices and their arclength-proportional breakpoints."""
+        self.vertices = verts
+        self.dim = dim
         lens = [math.dist(pt_float(a), pt_float(b)) for a, b in zip(verts, verts[1:])]
         total = sum(lens)
         self._cum = [0.0]
@@ -279,18 +282,14 @@ class PolyPath:
         return self.start == self.end
 
     def reversed(self) -> "PolyPath":
-        return PolyPath(tuple(reversed(self.vertices)), validate=False)
-
-    def canonical_key(self):
-        return self.vertices
+        """The path traversed backwards.  A reversed canonical vertex list is
+        canonical, so the vertices are stored as they are."""
+        out = PolyPath.__new__(PolyPath)
+        out._set_vertices(self.vertices[::-1], self.dim)
+        return out
 
     def same_geometry(self, other: "PolyPath") -> bool:
         return self.vertices == other.vertices
-
-    def same_unoriented(self, other: "PolyPath") -> bool:
-        return self.vertices == other.vertices or self.vertices == tuple(
-            reversed(other.vertices)
-        )
 
     def locate(self, t: float):
         """Map arclength parameter t in [0,1] to (segment index, exact s on it)."""
@@ -915,15 +914,6 @@ class Graph:
             ids[eid] = names
         return Graph(new_edges, validate=False), ids
 
-    def endpoint_degree(self, v: Point) -> int:
-        deg = 0
-        for e in self.edges.values():
-            if e.start == v:
-                deg += 1
-            if e.end == v:
-                deg += 1
-        return deg
-
 
 def _edges_meet_only_at_endpoints(p1: PolyPath, p2: PolyPath) -> bool:
     ends1 = {p1.start, p1.end}
@@ -1048,9 +1038,6 @@ class AffineMap:
     def inverse(self) -> "AffineMap":
         inv_off = self.apply_inverse(as_point([0] * self.dim))
         return AffineMap(self._inv, inv_off)
-
-    def linear_float(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.matrix])
 
 
 def map_path(mapping, path: PolyPath) -> PolyPath:

@@ -12,7 +12,9 @@ Haar integration comes in two independent flavours:
 * an exact Schur-orthogonality engine for rank-1 matrix-element integrals
   (``schur_inner``), and
 * a Monte Carlo sampler (``haar_sample_matrices``, with ``haar_sample`` its
-  validated one-row case) used as its oracle.
+  validated one-row case) used as its oracle; it maps raw draws
+  (``_haar_raw``) to matrices (``_haar_matrices``), so a caller that must
+  interleave its draws with other random numbers shares the same map.
 
 All functions are pure; RNG state is always passed explicitly.
 """
@@ -65,6 +67,9 @@ PAULI = (
 )
 
 
+_SIDE = {"u1": 1, "su2": 2}
+
+
 def _unitarity_defect(m: np.ndarray) -> float:
     return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
 
@@ -85,11 +90,11 @@ class GroupElement:
         elif self.group == "su2":
             if m.shape != (2, 2):
                 raise GroupValidationError("su2 elements are 2x2 matrices")
-            if abs(np.linalg.det(m) - 1.0) > ATOL_CONSTRUCT:
+            if not abs(np.linalg.det(m) - 1.0) <= ATOL_CONSTRUCT:
                 raise GroupValidationError("su2 element must have det 1")
         else:
             raise GroupValidationError(f"unknown group tag {self.group!r}")
-        if _unitarity_defect(m) > ATOL_CONSTRUCT:
+        if not _unitarity_defect(m) <= ATOL_CONSTRUCT:
             raise GroupValidationError("matrix is not unitary within 1e-12")
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
@@ -115,6 +120,21 @@ class GroupElement:
 
     def is_identity(self, atol: float = 1e-12) -> bool:
         return self.dist(identity(self.group)) <= atol
+
+
+def _check_group_stack(group: str, mats: np.ndarray) -> None:
+    """GroupElement's checks on every row of an (N, d, d) stack at once: the
+    group tag, the shape, det 1 for SU(2) and unitarity within 1e-12."""
+    side = _SIDE.get(group)
+    if side is None:
+        raise GroupValidationError(f"unknown group tag {group!r}")
+    if mats.shape[1:] != (side, side):
+        raise GroupValidationError(f"{group} elements are {side}x{side} matrices")
+    if group == "su2" and not (np.abs(np.linalg.det(mats) - 1.0) <= ATOL_CONSTRUCT).all():
+        raise GroupValidationError("su2 element must have det 1")
+    defect = (mats.conj().transpose(0, 2, 1) @ mats - np.eye(side)).reshape(len(mats), -1)
+    if not (np.linalg.norm(defect, axis=1) <= ATOL_CONSTRUCT).all():
+        raise GroupValidationError("matrix is not unitary within 1e-12")
 
 
 def identity(group: str) -> GroupElement:
@@ -216,9 +236,10 @@ class Irrep:
 
     def evaluate_many(self, mats: np.ndarray) -> np.ndarray:
         """rho of an (N, 1, 1) U(1) or (N, 2, 2) SU(2) stack, shape (N, dim, dim).
-        The rows are trusted to be group elements (Haar draws, validated elements)."""
+        The rows are trusted to be group elements (Haar draws, validated elements,
+        stacks that passed ``_check_group_stack``)."""
         mats = np.asarray(mats, dtype=complex)
-        side = 1 if self.group == "u1" else 2
+        side = _SIDE[self.group]
         if mats.shape[1:] != (side, side):
             raise GroupValidationError(f"{self.group} stacks have shape (N, {side}, {side})")
         if self.group == "u1":
@@ -340,9 +361,17 @@ def exp_alg(x: np.ndarray, t: float = 1.0) -> GroupElement:
     1x1 input yields a U(1) element; 2x2 input must be traceless so the
     exponential lands in SU(2).
     """
+    group, mats = _exp_alg_stack(x, [t])
+    return GroupElement(group, mats[0])
+
+
+def _exp_alg_stack(x: np.ndarray, ts) -> tuple:
+    """``exp_alg``'s checks on X once, then (group, stack of e^{tX} for every t),
+    shape (len(ts), d, d).  The rows are not yet checked as group elements."""
     x = _check_antihermitian(x)
+    ts = np.asarray(ts, dtype=float)
     if x.shape == (1, 1):
-        return GroupElement("u1", np.array([[np.exp(t * x[0, 0])]]))
+        return "u1", np.exp(ts * x[0, 0])[:, None, None]
     if x.shape != (2, 2):
         raise GroupValidationError("exp_alg supports 1x1 (u1) and 2x2 (su2) inputs")
     if abs(np.trace(x)) > ATOL_CONSTRUCT:
@@ -350,8 +379,7 @@ def exp_alg(x: np.ndarray, t: float = 1.0) -> GroupElement:
     # X = iH with H hermitian; diagonalize H for an exactly unitary result.
     h = -1j * x
     evals, vecs = np.linalg.eigh(h)
-    m = (vecs * np.exp(1j * t * evals)) @ vecs.conj().T
-    return GroupElement("su2", m)
+    return "su2", (vecs * np.exp(1j * ts[:, None, None] * evals)) @ vecs.conj().T
 
 
 def haar_sample(rng: np.random.Generator, group: str) -> GroupElement:
@@ -361,16 +389,28 @@ def haar_sample(rng: np.random.Generator, group: str) -> GroupElement:
 
 def haar_sample_matrices(rng: np.random.Generator, group: str, count: int) -> np.ndarray:
     """Stacked Haar samples, shape (count, d, d); vectorized for Monte Carlo."""
+    return _haar_matrices(group, _haar_raw(rng, group, count))
+
+
+def _haar_raw(rng: np.random.Generator, group: str, count: int) -> np.ndarray:
+    """The random numbers behind ``count`` Haar samples: one angle per U(1)
+    sample, four normals per SU(2) sample."""
     if group == "u1":
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
-        return np.exp(1j * theta)[:, None, None]
+        return rng.uniform(0.0, 2.0 * np.pi, size=count)
     if group == "su2":
-        v = rng.normal(size=(count, 4))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        a = v[:, 0] + 1j * v[:, 1]
-        b = v[:, 2] + 1j * v[:, 3]
-        return np.stack([a, -np.conj(b), b, np.conj(a)], axis=1).reshape(count, 2, 2)
+        return rng.normal(size=(count, 4))
     raise GroupValidationError(f"unknown group tag {group!r}")
+
+
+def _haar_matrices(group: str, raw: np.ndarray) -> np.ndarray:
+    """Haar samples from their ``_haar_raw`` numbers, shape (count, d, d):
+    a U(1) phase, or a normalized SU(2) quaternion [[a, -conj b], [b, conj a]]."""
+    if group == "u1":
+        return np.exp(1j * raw)[:, None, None]
+    v = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    a = v[:, 0] + 1j * v[:, 1]
+    b = v[:, 2] + 1j * v[:, 3]
+    return np.stack([a, -np.conj(b), b, np.conj(a)], axis=1).reshape(len(v), 2, 2)
 
 
 def schur_inner(rho: Irrep, mn, rho2: Irrep, mn2) -> complex:

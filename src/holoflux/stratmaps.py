@@ -517,12 +517,6 @@ class TwoSurfaceInterp:
         if not ok:
             raise StratMapError("interpolation parameters violate the ordering")
 
-    def v_plus(self, x):
-        return (self.p0(x) >= 1.0) & (self.p1(x) <= self.lam_plus)
-
-    def v_minus(self, x):
-        return (self.p1(x) >= self.lam_minus) & (self.p0(x) <= 1.0)
-
 
 def interp_two_surfaces(p0, p1, lam_minus, lam_plus, lam0_minus, lam0_plus,
                         rng: np.random.Generator = None, dim: int = None) -> TwoSurfaceInterp:

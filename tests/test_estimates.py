@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from holoflux.estimates import (
 )
 from holoflux.liegroup import (
     Irrep,
+    exp_alg,
     find_character_zero,
     haar_sample,
     identity,
@@ -251,3 +253,265 @@ def test_trivial_state_zero_witness():
     mat = HALF.evaluate(haar_sample(np.random.default_rng(1), "su2"))
     out = insert_left_matrix(one, sorted(g.edges)[0], mat)
     assert out.constant_part == one.constant_part
+
+
+# ---------------------------------------------------------------------------
+# the stacked oracles against their former per-sample loops
+# ---------------------------------------------------------------------------
+
+
+def xi_reference(rho, basis, t):
+    """Xi(t) one exponential at a time, the former loop of ``xi``."""
+    acc = np.zeros((rho.dim, rho.dim), dtype=complex)
+    for x in basis.elements:
+        acc += rho.evaluate(exp_alg(x, t)) + rho.evaluate(exp_alg(x, -t))
+    return acc / (2 * basis.n)
+
+
+def casimir_gap_check_reference(rho, basis, t0, grid):
+    """The former ``casimir_gap_check``: one ``xi_reference`` call per point."""
+    lam = basis.casimir_eigenvalue(rho)
+    ident = np.eye(rho.dim)
+    gvals = []
+    for t in grid:
+        t = float(t)
+        dev = np.linalg.norm(xi_reference(rho, basis, t) - math.exp(-lam * t * t / 2) * ident, 2)
+        gvals.append(dev / t**4)
+
+    def f(t):
+        return xi_reference(rho, basis, t) - math.exp(-lam * t * t / 2) * ident
+
+    h = 1e-2
+
+    def d1(hh):
+        return np.linalg.norm(f(hh) - f(-hh)) / (2 * hh)
+
+    def d3(hh):
+        return np.linalg.norm(f(2 * hh) - 2 * f(hh) + 2 * f(-hh) - f(-2 * hh)) / (2 * hh**3)
+
+    d1_val = abs((4 * d1(h / 2) - d1(h)) / 3)
+    d3_val = abs((4 * d3(h / 2) - d3(h)) / 3)
+    d2_val = np.linalg.norm(f(h) - 2 * f(0.0) + f(-h)) / h**2
+    return {
+        "lambda": lam,
+        "eta_hat": 1.05 * max(gvals),
+        "g_values": gvals,
+        "d1": d1_val,
+        "d2": float(d2_val),
+        "d3": d3_val,
+        "pass": bool(d1_val <= 1e-8 and d2_val <= 1e-4 and d3_val <= 1e-5),
+    }
+
+
+def opprod_bound_check_reference(n_factors, rng, draws, group="su2"):
+    """The former ``opprod_bound_check``: one validated sample and one 2x2
+    product at a time."""
+    violations = 0
+    worst_margin = math.inf
+    for _ in range(draws):
+        a = haar_sample(rng, group).matrix * rng.uniform(0.2, 1.0)
+        a_i = [haar_sample(rng, group).matrix * rng.uniform(0.2, 1.0) for _ in range(n_factors)]
+        b_i = [haar_sample(rng, group).matrix * rng.uniform(0.2, 1.0) for _ in range(n_factors)]
+        lhs_prod = np.eye(a.shape[0], dtype=complex)
+        rhs_prod = np.eye(a.shape[0], dtype=complex)
+        bound = 1.0
+        for ai, bi in zip(a_i, b_i):
+            lhs_prod = lhs_prod @ (ai @ bi)
+            rhs_prod = rhs_prod @ (a @ bi)
+            bound *= 1.0 + np.linalg.norm(ai - a, 2)
+        lhs = np.linalg.norm(lhs_prod - rhs_prod, 2)
+        rhs = bound - 1.0
+        worst_margin = min(worst_margin, rhs - lhs)
+        if lhs > rhs + 1e-12:
+            violations += 1
+    return {"violations": violations, "worst_margin": worst_margin, "draws": draws}
+
+
+def tensor_casimir_check_reference(rho, basis, j_factors, grid, samples, rng, eta_hat):
+    """The former ``tensor_casimir_check``: one product chain per sample."""
+    from holoflux.liegroup import haar_sample_matrices
+
+    lam = basis.casimir_eigenvalue(rho)
+    violations = 0
+    worst_margin = math.inf
+    for t in grid:
+        t = float(t)
+        xi_t = xi_reference(rho, basis, t)
+        scal = math.exp(-lam * j_factors * t * t / 2)
+        rhs = math.exp(eta_hat * j_factors * t**4) - 1.0
+        draws = haar_sample_matrices(rng, rho.group, samples * (j_factors + 1))
+        reps = rho.evaluate_many(draws).reshape(samples, j_factors + 1, rho.dim, rho.dim)
+        for gs in reps:
+            lhs_prod = plain = gs[0]
+            for gj in gs[1:]:
+                lhs_prod = lhs_prod @ (xi_t @ gj)
+                plain = plain @ gj
+            lhs = np.linalg.norm(lhs_prod - scal * plain, 2)
+            worst_margin = min(worst_margin, rhs - lhs)
+            if lhs > rhs + 1e-12:
+                violations += 1
+    return {"violations": violations, "worst_margin": worst_margin, "eta_hat": eta_hat,
+            "lambda": lam}
+
+
+def winding_states_reference(rho, basis, j_factors, t, s_base):
+    """Every assignment's ``_assignment_state``, the former enumeration loop:
+    the dict-accumulated average, and the states in ``itertools.product`` order."""
+    from holoflux.estimates import _assignment_state, _signed_basis, _winding_multipliers
+
+    t_state = chain_gsn(rho, j_factors + 1)
+    edge_ids = sorted(t_state.graph.edges)
+    mults = _winding_multipliers(rho, _signed_basis(basis), t)
+    n_assign = (2 * basis.n) ** j_factors
+    acc, states = {}, []
+    for assignment in itertools.product(range(2 * basis.n), repeat=j_factors):
+        state = _assignment_state(t_state, mults, edge_ids, assignment, s_base)
+        states.append(state)
+        for key, coeff in state.terms.items():
+            acc[key] = acc.get(key, 0) + coeff / n_assign
+    return t_state, edge_ids, acc, states
+
+
+def dense_row(terms, edge_ids, dim):
+    """A monomial sum on a chain as a row over the (r_1, .., r_J) index tuples."""
+    row = np.zeros(dim ** (len(edge_ids) - 1), dtype=complex)
+    for key, coeff in terms.items():
+        factors, col = dict(key), 0
+        for eid in edge_ids[1:]:
+            col = col * dim + factors[eid][1]
+        row[col] += coeff
+    return row
+
+
+def identity_deviation_reference(rho, basis, t, t_state, edge_ids, acc):
+    expected = t_state
+    for eid in edge_ids[1:]:
+        expected = insert_left_matrix(expected, eid, xi_reference(rho, basis, t))
+    keys = set(acc) | set(expected.terms)
+    return max(abs(acc.get(k, 0) - expected.terms.get(k, 0)) for k in keys)
+
+
+def assert_bitwise(got, want):
+    """Equal structure, and every number equal to the last bit (signed zeros too)."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert_bitwise(got[key], want[key])
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_bitwise(g, w)
+    elif isinstance(want, (bool, int, str)):
+        assert got == want and type(got) is type(want)
+    else:
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape
+        assert got.astype(want.dtype).tobytes() == want.tobytes(), (got, want)
+
+
+RHOS = [(HALF, BASIS), (ONE, BASIS), (Irrep("su2", Fraction(3, 2)), BASIS),
+        (Irrep("u1", 2), u1_basis())]
+
+
+@pytest.mark.parametrize("rho,basis", RHOS)
+def test_xi_equals_reference_bitwise(rho, basis):
+    for t in (0.0, -0.0, 1e-2, -5e-3, 0.1, -0.3, 0.37, 1.2, -2.5):
+        assert_bitwise(xi(rho, basis, t), xi_reference(rho, basis, t))
+    prof = XiProfile.build(rho, basis, np.linspace(-1, 1, 9))
+    assert_bitwise(prof.values, [xi_reference(rho, basis, t) for t in prof.grid])
+
+
+@pytest.mark.parametrize("rho,basis", RHOS)
+def test_casimir_gap_check_equals_reference_bitwise(rho, basis):
+    for t0, grid in ((0.5, [0.2, 0.1, 0.05, 0.025]), (1.0, [0.8**k for k in range(1, 12)])):
+        assert_bitwise(casimir_gap_check(rho, basis, t0, grid),
+                       casimir_gap_check_reference(rho, basis, t0, grid))
+
+
+@pytest.mark.parametrize("n_factors,group", [(n, "su2") for n in range(0, 9)]
+                         + [(1, "u1"), (4, "u1"), (8, "u1")])
+def test_opprod_equals_reference_bitwise(n_factors, group):
+    for seed in (n_factors, 100 + n_factors):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = opprod_bound_check(n_factors, rng, draws=30, group=group)
+        assert_bitwise(got, opprod_bound_check_reference(n_factors, ref_rng, 30, group))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("rho", [HALF, ONE])
+@pytest.mark.parametrize("j_factors", [2, 4, 6])
+def test_tensor_casimir_equals_reference_bitwise(rho, j_factors):
+    grid = [0.05, 0.1, 0.2]
+    rng, ref_rng = np.random.default_rng(j_factors), np.random.default_rng(j_factors)
+    got = tensor_casimir_check(rho, BASIS, j_factors, 0.5, grid, 40, rng, eta_hat=0.5)
+    want = tensor_casimir_check_reference(rho, BASIS, j_factors, grid, 40, ref_rng, 0.5)
+    assert_bitwise(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("block", [None, 8])
+@pytest.mark.parametrize("s_base", [0, 1])
+@pytest.mark.parametrize("rho", [HALF, ONE])
+def test_winding_rows_equal_assignment_states(monkeypatch, rho, s_base, block):
+    import holoflux.estimates as est
+
+    if block is not None:  # 1-2 rows per block: every row sits on a block boundary
+        monkeypatch.setattr(est, "_WINDING_BLOCK", block)
+    t = 0.3
+    _t_state, edge_ids, acc, states = winding_states_reference(rho, BASIS, 2, t, s_base)
+    blocks = list(est._winding_rows(rho, BASIS, 2, t, s_base))
+    if block is not None:
+        assert len(blocks) > 1
+    rows = np.concatenate(blocks)
+    assert rows.shape == (len(states), rho.dim**2)
+    for row, state in zip(rows, states):
+        assert np.abs(row - dense_row(state.terms, edge_ids, rho.dim)).max() <= 1e-15
+    avg = np.zeros(rho.dim**2, dtype=complex)
+    for part in blocks:
+        avg = est._add_rows(avg, part, len(states))
+    assert np.abs(avg - dense_row(acc, edge_ids, rho.dim)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("rho,j_factors", [(HALF, 2), (ONE, 2), (HALF, 4)])
+def test_winding_average_agrees_with_reference(rho, j_factors):
+    for t in (0.0, 0.1, 0.3):
+        for s_base in (0, 1):
+            t_state, edge_ids, acc, _states = winding_states_reference(
+                rho, BASIS, j_factors, t, s_base)
+            want = identity_deviation_reference(rho, BASIS, t, t_state, edge_ids, acc)
+            rep = winding_average_check(rho, BASIS, j_factors, t, s_base=s_base)
+            assert abs(rep["max_identity_deviation"] - want) <= 1e-15
+
+
+def test_splitting_witness_agrees_with_reference():
+    from holoflux.cylindrical import inner_product_exact
+
+    rep = splitting_witness(HALF, BASIS, t_grid=[0.4, 0.3, 0.28], tau2=0.3, tau4=0.05,
+                            max_j=4)
+    admissible = [e for e in rep["entries"] if e["admissible"]]
+    assert admissible
+    for e in admissible:
+        t_state, edge_ids, acc, states = winding_states_reference(HALF, BASIS, e["J"], e["t"], 1)
+        overlaps = [inner_product_exact(t_state, s).real for s in states]
+        witness = max(abs(s.constant_part - t_state.constant_part) for s in states)
+        assert e["witness_inner_max"] == witness
+        assert abs(e["overlap_min"] - min(overlaps)) <= 1e-15
+        nonconst = max(math.sqrt(max(0.0, 2.0 - 2.0 * ov)) for ov in overlaps)
+        assert abs(e["nonconstant_norm_max"] - nonconst) <= 1e-15
+        want = identity_deviation_reference(HALF, BASIS, e["t"], t_state, edge_ids, acc)
+        assert abs(e["avg_identity_deviation"] - want) <= 1e-15
+
+
+def test_winding_average_memory_stays_bounded():
+    # unblocked, the 46,656 spin-1 J = 6 rows of 729 entries would take 544 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rep = winding_average_check(ONE, BASIS, 6, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["assignments"] == 6**6
+    assert rep["max_identity_deviation"] <= 1e-12
+    assert peak < 64 * 2**20

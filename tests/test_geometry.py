@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from holoflux.geometry import (
@@ -93,6 +93,36 @@ def test_reversed_concat():
     joined = p.concat(q)
     assert joined.start == (0, 0) and joined.end == (2, 0)
     assert p.reversed().start == (1, 1)
+
+
+path_coord = st.one_of(st.integers(-3, 3),
+                       st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2, 3, 7])))
+
+
+@st.composite
+def canonical_paths(draw):
+    """Canonical paths, some built from vertex lists with collinear midpoints."""
+    dim = draw(st.sampled_from([2, 3]))
+    pts = draw(st.lists(st.tuples(*[path_coord] * dim), min_size=2, max_size=6))
+    verts = [pts[0]]
+    for p in pts[1:]:
+        if p == verts[-1]:
+            continue
+        if draw(st.booleans()):  # a midpoint, which canonicalisation drops
+            verts.append(tuple((Fraction(a) + b) / 2 for a, b in zip(verts[-1], p)))
+        verts.append(p)
+    assume(len(verts) >= 2)
+    return PolyPath(verts, validate=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_paths())
+def test_reversed_equals_rebuilt_reversed_path(path):
+    rev = path.reversed()
+    rebuilt = PolyPath(tuple(reversed(path.vertices)), validate=False)
+    assert rev.vertices == rebuilt.vertices
+    assert rev.dim == rebuilt.dim
+    assert rev._cum == rebuilt._cum
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,33 @@ def test_group_element_rejects_bad_det():
         GroupElement("su2", np.diag([1j, 1j]))  # unitary but det = -1
 
 
+def test_stack_checks_agree_with_group_element():
+    from holoflux.liegroup import _check_group_stack
+
+    def rejects(check):
+        try:
+            check()
+        except GroupValidationError:
+            return True
+        return False
+
+    rng = np.random.default_rng(2)
+    cases = [("su2", haar_sample(rng, "su2").matrix), ("u1", haar_sample(rng, "u1").matrix),
+             ("su2", np.array([[1.0, 0.1], [0.0, 1.0]])), ("su2", np.diag([1j, 1j])),
+             ("u1", np.array([[1.1]])), ("su2", np.eye(3)), ("u1", np.eye(2)),
+             ("so3", np.eye(2)), ("su2", np.full((2, 2), np.nan)), ("u1", np.array([[np.nan]]))]
+    with np.errstate(invalid="ignore"):
+        for group, m in cases:
+            m = np.asarray(m, dtype=complex)
+            single = rejects(lambda: GroupElement(group, m))
+            assert rejects(lambda: _check_group_stack(group, m[None])) == single
+            if group in ("u1", "su2") and m.shape[0] == (1 if group == "u1" else 2):
+                stack = haar_sample_matrices(rng, group, 5)
+                stack[3] = m
+                assert rejects(lambda: _check_group_stack(group, stack)) == single
+        assert rejects(lambda: GroupElement("su2", np.full((2, 2), np.nan)))
+
+
 def test_haar_samples_pass_invariants():
     rng = np.random.default_rng(7)
     for _ in range(100):
