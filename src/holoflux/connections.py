@@ -143,11 +143,8 @@ class SurfaceLabel:
         if self.point_fn is not None:
             return self.point_fn(point)
         pid, piece = self.surface.find_piece(point)
-        if pid is None:
-            return identity(self.group)
-        if self.per_stratum is None:
-            return identity(self.group)
-        return self.per_stratum.get(pid, identity(self.group))
+        g = None if pid is None or self.per_stratum is None else self.per_stratum.get(pid)
+        return identity(self.group) if g is None else g
 
     def inverse(self) -> "SurfaceLabel":
         if self.point_fn is not None:

@@ -1,10 +1,13 @@
 """Piecewise-linear paths, oriented simplicial surfaces, and intersection data.
 
 Everything geometric is exact: input coordinates, points passed to the
-membership tests included, are converted to ``fractions.Fraction`` (floats
-convert exactly, being binary rationals), and all predicates (membership,
-segment/simplex intersection, side tests) are decided by one fraction-free
-integer elimination (``_eliminate``): each row is scaled to integers, and
+membership tests included, are read as exact rationals (floats convert
+exactly, being binary rationals).  A codimension-1 simplex stores its
+hyperplane and barycentric coordinates as integer rows, so membership,
+segment/simplex events and side tests on it are decided by the signs of
+integer dot products with the homogeneous integer point (P, d), x = P / d.
+Everything else (simplices of codimension >= 2, segment pairs, affine maps)
+goes through one fraction-free integer elimination (``_eliminate``).
 Fractions are built only for the values returned.  Parameters reported to
 callers are arclength-proportional floats; the underlying split *points*
 remain exact.
@@ -89,6 +92,21 @@ def _lerp(a: Point, b: Point, s: Fraction) -> Point:
     return tuple(x + s * (y - x) for x, y in zip(a, b))
 
 
+def _integer_points(*pts) -> tuple:
+    """([P_0, P_1, ...], d): integer vectors over one positive common
+    denominator, pts[i] = P_i / d exactly (floats included)."""
+    ratios = [[(c if type(c) is Fraction else Fraction(c)).as_integer_ratio() for c in p]
+              for p in pts]
+    d = math.lcm(*[q for r in ratios for _, q in r])
+    return [[n * (d // q) for n, q in r] for r in ratios], d
+
+
+def _affine(row: tuple, P: list, d: int) -> int:
+    """row . (P, d): an integer affine function, with the constant term last,
+    evaluated at x = P / d and scaled by d."""
+    return sum(r * x for r, x in zip(row, P)) + row[-1] * d
+
+
 def _parallel(u: Point, v: Point) -> bool:
     k = len(u)
     for i in range(k):
@@ -170,7 +188,11 @@ def solve_exact(rows: list, rhs: list):
     Every returned value is a Fraction.
     """
     n = len(rows[0]) if rows else 0
-    a = _integer_rows([(*r, b) for r, b in zip(rows, rhs)])
+    return _solve_integer_rows(_integer_rows([(*r, b) for r, b in zip(rows, rhs)]), n)
+
+
+def _solve_integer_rows(a: list, n: int):
+    """solve_exact on the integer rows (A | b) of n unknowns, reduced in place."""
     pivots = _eliminate(a, n)
     rank = len(pivots)
     if any(r[n] for r in a[rank:]):
@@ -359,7 +381,8 @@ class Simplex:
 
     ``closed_facets[i]`` says whether the facet with barycentric coordinate
     lambda_i = 0 belongs to the point set.  Codimension-1 simplices carry an
-    orientation through ``normal`` (stored exactly; unit within 1e-12).
+    orientation through ``normal`` (stored exactly; unit within 1e-12), which
+    orients the exact integer hyperplane of their vertices.
     """
 
     vertices: tuple
@@ -367,6 +390,11 @@ class Simplex:
     normal: tuple = None
     # the k x q matrix whose columns are the spanning vectors v_j - v_0, by rows
     span: tuple = field(init=False, repr=False, compare=False)
+    # codimension 1 only, else None (see _hyperplane_rows): the integer
+    # hyperplane row, oriented so that n . normal > 0 when a normal is given,
+    # and the barycentric rows (l_i, w_i)
+    plane: tuple = field(init=False, repr=False, compare=False)
+    bary_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         verts = tuple(as_point(v) for v in self.vertices)
@@ -376,9 +404,11 @@ class Simplex:
         if q < 0 or q >= k:
             raise GeometryError("simplex dimension must satisfy 0 <= q < k")
         span = tuple(zip(*(_sub(v, verts[0]) for v in verts[1:]))) or ((),) * k
-        if rank_exact(span) != q:
+        rows = _hyperplane_rows(verts) if q == k - 1 else None
+        if rows is None and (q == k - 1 or rank_exact(span) != q):
             raise GeometryError("simplex vertices are affinely dependent")
         object.__setattr__(self, "span", span)
+        plane, bary_rows = rows or (None, None)
         cf = self.closed_facets
         if cf is None:
             cf = tuple(True for _ in verts)
@@ -388,19 +418,28 @@ class Simplex:
                 raise GeometryError("need one openness flag per facet")
         object.__setattr__(self, "closed_facets", cf)
         if self.normal is not None:
+            if plane is None:
+                raise GeometryError("only codimension-1 simplices carry a normal")
             nrm = as_point(self.normal)
             if len(nrm) != k:
                 raise GeometryError("normal dimension mismatch")
             nf = pt_float(nrm)
             if abs(np.linalg.norm(nf) - 1.0) > 1e-12:
                 raise GeometryError("normal must be unit within 1e-12")
-            # orthogonality within float noise: rotated scenes carry rounded
-            # normals; sign tests stay exact on the stored values
+            # orthogonality within float noise: rotated and sheared scenes
+            # carry rounded normals, which only orient the exact plane row
             for v in verts[1:]:
                 d = pt_float(_sub(v, verts[0]))
                 if abs(float(np.dot(nf, d))) > 1e-9 * max(1.0, np.linalg.norm(d)):
                     raise GeometryError("normal is not orthogonal to the simplex")
+            side = _dot(plane, nrm)
+            if side == 0:
+                raise GeometryError("normal lies in the simplex's hyperplane")
+            if side < 0:
+                plane = tuple(-c for c in plane)
             object.__setattr__(self, "normal", nrm)
+        object.__setattr__(self, "plane", plane)
+        object.__setattr__(self, "bary_rows", bary_rows)
 
     @property
     def dim(self) -> int:
@@ -410,9 +449,23 @@ class Simplex:
     def ambient_dim(self) -> int:
         return len(self.vertices[0])
 
+    def _numerators(self, p: Sequence):
+        """Codimension 1: (u, d) with lambda_i(p) = u_i / (w_i d), or None if
+        p is off the hyperplane."""
+        (P,), d = _integer_points(p)
+        if _affine(self.plane, P, d):
+            return None
+        return [_affine(l, P, d) for l, _ in self.bary_rows], d
+
     def barycentric(self, p: Sequence):
         """Exact barycentric coordinates, or None if p is off the affine hull.
         The coordinates of p convert exactly (floats included)."""
+        if self.plane is not None:
+            num = self._numerators(p)
+            if num is None:
+                return None
+            u, d = num
+            return [Fraction(ui, w * d) for ui, (_, w) in zip(u, self.bary_rows)]
         p = _exact(p)
         v0 = self.vertices[0]
         if self.dim == 0:
@@ -424,7 +477,11 @@ class Simplex:
         return lam
 
     def contains(self, p: Sequence) -> bool:
-        lam = self.barycentric(p)
+        if self.plane is not None:
+            num = self._numerators(p)
+            lam = None if num is None else num[0]  # signs of lambda_i
+        else:
+            lam = self.barycentric(p)
         if lam is None:
             return False
         for i, l in enumerate(lam):
@@ -433,6 +490,35 @@ class Simplex:
             if l == 0 and not self.closed_facets[i]:
                 return False
         return True
+
+
+def _hyperplane_rows(verts: tuple):
+    """Integer rows of a codimension-1 simplex acting on (P, d), x = P / d.
+
+    Returns (plane, bary_rows), or None if the vertices are affinely
+    dependent.  ``_affine(plane, P, d) = 0`` exactly on the hyperplane
+    n . x = c through the vertices (plane = (n, -c), gcd 1), and there
+    lambda_i(x) = _affine(l_i, P, d) / (w_i d) with w_i > 0 for
+    (l_i, w_i) = bary_rows[i].  With V_i / D the vertices, Gauss-Jordan
+    elimination of [M | I] for the square system M lambda = (D x, 1),
+    columns (V_i, 1), turns I into E with E M = diag(w) over the first k
+    rows; the last row of E annihilates M, so it is the hyperplane.
+    """
+    V, D = _integer_points(*verts)
+    k = len(V)
+    eye = [[int(i == j) for i in range(k + 1)] for j in range(k + 1)]
+    a = [[v[j] for v in V] + eye[j] for j in range(k)] + [[1] * k + eye[k]]
+    if len(_eliminate(a, k)) < k:
+        return None
+    # (D x, 1) = (D P, d) / d: scale the point columns of E by D
+    rows = [[D * c for c in r[k:-1]] + [r[-1]] for r in a]
+    plane = rows.pop()
+    g = math.gcd(*plane)
+    bary_rows = tuple(
+        (tuple(c if r[i] > 0 else -c for c in row), abs(r[i]))
+        for i, (r, row) in enumerate(zip(a, rows))
+    )
+    return tuple(c // g for c in plane), bary_rows
 
 
 class OrientedSurface:
@@ -549,11 +635,10 @@ def _segment_segment(a: Point, b: Point, c: Point, d: Point):
     Returns a list of events: ('point', (s, t)) with ab(s) = cd(t), or
     ('overlap', ((s0, t0), (s1, t1))) for a shared collinear subsegment.
     """
-    u = _sub(b, a)
-    v = _sub(d, c)
-    rows = [[u[i], -v[i]] for i in range(len(a))]
-    rhs = [c[i] - a[i] for i in range(len(a))]
-    kind, sol = solve_exact(rows, rhs)
+    # s (b - a) + t (c - d) = c - a, over the common denominator of all four
+    (A, B, C, D), _ = _integer_points(a, b, c, d)
+    rows = [[y - x, z - w, z - x] for x, y, z, w in zip(A, B, C, D)]
+    kind, sol = _solve_integer_rows(rows, 2)
     if kind == "none":
         return []
     if kind == "unique":
@@ -562,6 +647,7 @@ def _segment_segment(a: Point, b: Point, c: Point, d: Point):
             return [("point", (s, t))]
         return []
     # collinear on a common line: project c, d onto ab's parameter
+    u = _sub(b, a)
     den = _dot(u, u)
     if den == 0:
         return []
@@ -587,6 +673,45 @@ def _segment_simplex_events(a: Point, b: Point, s: Simplex):
     Returns events ('point', s*, s*) or ('interval', lo, hi); membership in
     the (possibly partially open) point set is decided by probing.
     """
+    if s.plane is None:
+        return _segment_flat_events(a, b, s)
+    # side values f and barycentric numerators u at a and b, all over the
+    # same positive scale; both are affine along the segment
+    (A, B), d = _integer_points(a, b)
+    fa, fb = _affine(s.plane, A, d), _affine(s.plane, B, d)
+    if (fa > 0 and fb > 0) or (fa < 0 and fb < 0):
+        return []
+    ua = [_affine(l, A, d) for l, _ in s.bary_rows]
+    ub = [_affine(l, B, d) for l, _ in s.bary_rows]
+    if fa or fb:
+        # one crossing at sp = fa / (fa - fb), where lambda_i has the sign of
+        # (fa ub_i - fb ua_i) / (fa - fb)
+        if fa < fb:
+            fa, fb = -fa, -fb
+        if all(fa * y >= fb * x for x, y in zip(ua, ub)):
+            sp = Fraction(fa, fa - fb)
+            return [("point", sp, sp)]
+        return []
+    # in the hyperplane: lambda_i(sp) = (ua_i + sp (ub_i - ua_i)) / (w_i d)
+    lo, hi = Fraction(0), Fraction(1)
+    for x, y in zip(ua, ub):
+        lin = y - x
+        if lin == 0:
+            if x < 0:
+                return []
+        elif lin > 0:
+            lo = max(lo, Fraction(-x, lin))
+        else:
+            hi = min(hi, Fraction(-x, lin))
+    if lo > hi:
+        return []
+    if lo == hi:
+        return [("point", lo, lo)]
+    return [("interval", lo, hi)]
+
+
+def _segment_flat_events(a: Point, b: Point, s: Simplex):
+    """_segment_simplex_events for simplices of codimension >= 2."""
     q = s.dim
     # unknowns: lambda_1..lambda_q, sparam ; equations: v0 + sum l_i (v_i - v0) = a + s u
     rows = [(*r, -ui) for r, ui in zip(s.span, _sub(b, a))]
@@ -753,9 +878,10 @@ def _initial_sign(surface: OrientedSurface, path: PolyPath) -> int:
     if piece is None:
         return 0
     if piece.normal is None:
-        return 0  # codimension >= 2: no induced orientation data
-    d1 = _sub(path.vertices[1], path.vertices[0])
-    dp = _dot(piece.normal, d1)
+        return 0  # no orientation data (always so in codimension >= 2)
+    # n . (v1 - v0) for the exact plane row, oriented by the stored normal
+    (P0, P1), _ = _integer_points(path.vertices[0], path.vertices[1])
+    dp = sum(n * (y - x) for n, x, y in zip(piece.plane, P0, P1))
     if dp > 0:
         s = 1
     elif dp < 0:

@@ -312,7 +312,8 @@ class GaugeTransform:
     values: dict = field(default_factory=dict)  # exact point tuple -> GroupElement
 
     def at(self, point) -> GroupElement:
-        return self.values.get(tuple(point), identity(self.group))
+        g = self.values.get(tuple(point))
+        return identity(self.group) if g is None else g
 
     def inverse(self) -> "GaugeTransform":
         return GaugeTransform(

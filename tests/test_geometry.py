@@ -25,6 +25,7 @@ from holoflux.geometry import (
     sigma_pair,
     solve_exact,
 )
+from holoflux.geometry import _segment_segment, _segment_simplex_events
 
 
 def seg_surface_2d(x_lo=-2, x_hi=2, closed=True):
@@ -672,3 +673,269 @@ def test_simplex_spanning_vectors_stored_once():
     point = Simplex([(1, 2)])
     assert point.span == ((), ())
     assert point.contains((1.0, 2)) and not point.contains((1, 2.5))
+
+
+# ---------------------------------------------------------------------------
+# integer hyperplane predicates against the solve-based references
+# ---------------------------------------------------------------------------
+
+
+def barycentric_reference(s, p):
+    """Simplex.barycentric by a Fraction solve of the spanning vectors."""
+    p = as_point(p)
+    v0 = s.vertices[0]
+    if s.dim == 0:
+        return [F(1)] if p == v0 else None
+    kind, sol = solve_exact_reference(s.span, [x - y for x, y in zip(p, v0)])
+    if kind != "unique":
+        return None
+    return [F(1) - sum(sol)] + list(sol)
+
+
+def contains_reference(s, p):
+    lam = barycentric_reference(s, p)
+    if lam is None:
+        return False
+    return all(l > 0 or (l == 0 and closed) for l, closed in zip(lam, s.closed_facets))
+
+
+def segment_simplex_events_reference(a, b, s):
+    """_segment_simplex_events by one solve for (lambda_1..q, s) on the segment."""
+    q = s.dim
+    u = [y - x for x, y in zip(a, b)]
+    rows = [(*r, -ui) for r, ui in zip(s.span, u)]
+    kind, sol = solve_exact_reference(rows, [x - v for x, v in zip(a, s.vertices[0])])
+    if kind == "none":
+        return []
+    if kind == "unique":
+        lam, sp = sol[:q], sol[q]
+        if 0 <= sp <= 1 and F(1) - sum(lam) >= 0 and all(l >= 0 for l in lam):
+            return [("point", sp, sp)]
+        return []
+    part, (dirv,) = sol
+    r_per_sp = F(1) / dirv[q]
+    lam_const = [part[i] - part[q] * dirv[i] * r_per_sp for i in range(q)]
+    lam_lin = [dirv[i] * r_per_sp for i in range(q)]
+    lam_const.append(F(1) - sum(lam_const))
+    lam_lin.append(-sum(lam_lin))
+    lo, hi = F(0), F(1)
+    for cst, lin in zip(lam_const, lam_lin):
+        if lin == 0:
+            if cst < 0:
+                return []
+        elif lin > 0:
+            lo = max(lo, -cst / lin)
+        else:
+            hi = min(hi, -cst / lin)
+    if lo > hi:
+        return []
+    return [("point", lo, lo)] if lo == hi else [("interval", lo, hi)]
+
+
+def segment_segment_reference(a, b, c, d):
+    """_segment_segment by a Fraction solve of s (b - a) - t (d - c) = c - a."""
+    u = [y - x for x, y in zip(a, b)]
+    rows = [[ui, x - y] for ui, x, y in zip(u, c, d)]
+    kind, sol = solve_exact_reference(rows, [y - x for x, y in zip(a, c)])
+    if kind == "none":
+        return []
+    if kind == "unique":
+        s, t = sol
+        return [("point", (s, t))] if 0 <= s <= 1 and 0 <= t <= 1 else []
+    den = sum(x * x for x in u)
+    if den == 0:
+        return []
+    sc = sum((x - y) * w for x, y, w in zip(c, a, u)) / den
+    sd = sum((x - y) * w for x, y, w in zip(d, a, u)) / den
+    lo, hi = max(F(0), min(sc, sd)), min(F(1), max(sc, sd))
+    if lo > hi:
+        return []
+
+    def t_of(sv):
+        return F(0) if sd == sc else (sv - sc) / (sd - sc)
+
+    if lo == hi:
+        return [("point", (lo, t_of(lo)))]
+    return [("overlap", ((lo, t_of(lo)), (hi, t_of(hi))))]
+
+
+def initial_sign_reference(surface, path):
+    """_initial_sign from the stored normal, right when that normal is exact."""
+    for s in surface.pieces:
+        if contains_reference(s, path.start):
+            if s.normal is None:
+                return 0
+            dp = sum(n * (y - x) for n, x, y in zip(s.normal, *path.vertices[:2]))
+            sign = (dp > 0) - (dp < 0)
+            return -sign if surface.inverted else sign
+    return 0
+
+
+# exactly orthonormal rational frames (n, e_1, ..., e_{k-1}) in R^2, R^3, R^4
+EXACT_FRAMES = {
+    2: [((0, 1), (1, 0)), ((F(3, 5), F(4, 5)), (F(-4, 5), F(3, 5)))],
+    3: [((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((F(3, 5), F(4, 5), 0), (F(-4, 5), F(3, 5), 0), (0, 0, 1)),
+        ((F(2, 3), F(2, 3), F(1, 3)), (F(1, 3), F(-2, 3), F(2, 3)),
+         (F(2, 3), F(-1, 3), F(-2, 3)))],
+    4: [((F(1, 2),) * 4, (F(1, 2), F(1, 2), F(-1, 2), F(-1, 2)),
+         (F(1, 2), F(-1, 2), F(1, 2), F(-1, 2)), (F(1, 2), F(-1, 2), F(-1, 2), F(1, 2)))],
+}
+# non-dyadic and dyadic rationals, and floats, which convert exactly
+frac = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 7, 12]))
+weight = st.one_of(st.sampled_from([F(0), F(1), F(1, 2), F(-1, 3)]), frac)
+
+
+def combo(c, frame, coeffs):
+    n, *es = frame
+    return tuple(c * ni + sum(a * e[j] for a, e in zip(coeffs, es))
+                 for j, ni in enumerate(n))
+
+
+@st.composite
+def simplex_scenes(draw, codim1=False):
+    """A simplex (codimension 1 in a rational orthonormal frame, or any
+    q < k), with random open facets, and a sampler of points that lie in its
+    hyperplane, at its vertices, on its edges, off it, or in float."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    frame = draw(st.sampled_from(EXACT_FRAMES[k]))
+    c = draw(frac)
+    if codim1 or draw(st.booleans()):
+        verts = [combo(c, frame, [draw(frac) for _ in range(k - 1)]) for _ in range(k)]
+        normal = tuple(draw(st.sampled_from([1, -1])) * v for v in frame[0])
+    else:
+        q = draw(st.integers(0, k - 2))
+        verts = [tuple(draw(frac) for _ in range(k)) for _ in range(q + 1)]
+        normal = None
+    if draw(st.booleans()):
+        normal = None
+    flags = tuple(draw(st.booleans()) for _ in verts)
+    try:
+        s = Simplex(verts, closed_facets=flags, normal=normal)
+    except GeometryError:
+        assume(False)
+
+    def point():
+        kind = draw(st.sampled_from(["hull", "hull", "vertex", "off", "float", "any"]))
+        if kind == "vertex":
+            return draw(st.sampled_from(s.vertices))
+        if kind == "any":
+            return tuple(draw(frac) for _ in range(k))
+        lam = [draw(weight) for _ in verts[1:]]
+        lam = [F(1) - sum(lam)] + lam
+        p = tuple(sum(l * v[j] for l, v in zip(lam, s.vertices)) for j in range(k))
+        if kind == "off":
+            p = tuple(x + draw(weight) * e for x, e in zip(p, frame[0]))
+        if kind == "float":
+            p = tuple(float(x) for x in p)
+        return p
+
+    return s, point
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_membership_matches_solve_reference(data):
+    s, point = data.draw(simplex_scenes())
+    for _ in range(4):
+        p = point()
+        assert s.contains(p) == contains_reference(s, p)
+        lam = s.barycentric(p)
+        assert lam == barycentric_reference(s, p)
+        assert lam is None or all(type(v) is F for v in lam)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+@example(data=None)
+def test_segment_simplex_events_match_solve_reference(data):
+    if data is None:  # a segment along an open edge of a triangle
+        s = Simplex([(0, 0, 0), (0, 3, 0), (0, 0, 3)], closed_facets=(False, True, True),
+                    normal=(1, 0, 0))
+        a, b = (0, 0, 0), (0, 3, 0)
+        assert _segment_simplex_events(as_point(a), as_point(b), s) == [("interval", 0, 1)]
+        return
+    s, point = data.draw(simplex_scenes())
+    for _ in range(4):
+        a, b = as_point(point()), as_point(point())
+        got = _segment_simplex_events(a, b, s)
+        assert got == segment_simplex_events_reference(a, b, s)
+        assert all(type(v) is F for _, lo, hi in got for v in (lo, hi))
+
+
+@st.composite
+def segment_pairs(draw):
+    """Segment pairs in R^2..R^4: generic, crossing, parallel, collinear
+    (overlapping, touching or apart), sharing endpoints, or in float."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    pt = st.tuples(*[frac] * k)
+    a, b = draw(pt), draw(pt)
+    assume(a != b)
+    a, b = as_point(a), as_point(b)
+    kind = draw(st.sampled_from(["any", "collinear", "parallel", "cross", "shared", "float"]))
+    on_ab = lambda w: tuple(x + w * (y - x) for x, y in zip(a, b))  # noqa: E731
+    if kind == "collinear":
+        c, d = on_ab(draw(weight)), on_ab(draw(weight))
+    elif kind == "parallel":
+        shift = as_point(draw(pt))
+        c, d = (tuple(x + y for x, y in zip(on_ab(draw(weight)), shift)) for _ in range(2))
+    elif kind == "cross":  # cd has its midpoint on the line ab
+        m, d = on_ab(draw(weight)), as_point(draw(pt))
+        c = tuple(2 * x - y for x, y in zip(m, d))
+    elif kind == "shared":
+        c, d = draw(st.sampled_from([a, b])), as_point(draw(pt))
+    else:
+        c, d = as_point(draw(pt)), as_point(draw(pt))
+        if kind == "float":
+            a, b, c, d = (tuple(F(float(x)) for x in p) for p in (a, b, c, d))
+    assume(c != d)
+    return a, b, c, d
+
+
+@settings(max_examples=400, deadline=None)
+@given(segment_pairs())
+def test_segment_segment_matches_solve_reference(seg):
+    got = _segment_segment(*seg)
+    assert got == segment_segment_reference(*seg)
+    for kind, data in got:
+        assert all(type(v) is F for v in (data if kind == "point" else data[0] + data[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sigma_matches_exact_normal_reference(data):
+    s, point = data.draw(simplex_scenes(codim1=True))
+    surface = OrientedSurface([s], inverted=data.draw(st.booleans()))
+    start, end = point(), point()
+    # distinct as floats too: the arclength parametrisation is float
+    assume([float(x) for x in start] != [float(x) for x in end])
+    gamma = PolyPath([start, end])
+    assert sigma_eval(surface, gamma, "outgoing") == initial_sign_reference(surface, gamma)
+
+
+def test_sheared_surface_tangent_departure_has_no_sign():
+    # a shear rounds the mapped normal (its dot with an in-plane direction
+    # reads 1.3e-16); the sign comes from the exact plane of the vertices
+    tri = Simplex([(0, -1, -1), (0, 2, -1), (0, -1, 2)], normal=(1, 0, 0))
+    shear = AffineMap([[1, F(1, 3), 0], [0, 1, 0], [F(2, 7), 0, 1]])
+    surface = map_surface(shear, OrientedSurface([tri]))
+    start = shear.apply((0, 0, 0))
+    gamma = PolyPath([start, shear.apply((0, F(1, 2), F(1, 4))), shear.apply((1, 1, 1))])
+    assert decompose_minimal(gamma, surface).statuses() == ["internal", "external"]
+    assert sigma_eval(surface, gamma, "outgoing") == 0
+    assert sigma_eval(surface, gamma, "outgoing") + sigma_eval(
+        surface, gamma.reversed(), "incoming") == 0
+    # a transversal departure keeps the sign of the mapped normal
+    leaving = PolyPath([start, shear.apply((1, 0, 0))])
+    assert sigma_eval(surface, leaving, "outgoing") == 1
+    assert sigma_eval(surface.inverse(), leaving, "outgoing") == -1
+
+
+def test_normal_must_orient_a_hyperplane():
+    # a segment in R^3 has no hyperplane for a normal to orient
+    with pytest.raises(GeometryError):
+        Simplex([(0, 0, 0), (1, 0, 0)], normal=(0, 0, 1))
+    # within the orthogonality tolerance of a tiny simplex, yet in its line
+    with pytest.raises(GeometryError):
+        Simplex([(0, 0), (1e-12, 0)], normal=(1, 0))
+    assert Simplex([(0, 0), (1e-12, 0)], normal=(0, -1)).plane[:2] == (0, -1)
