@@ -8,6 +8,14 @@ edge; they are orthonormal for the measure whose push-forward to any graph
 is product Haar, which the exact inner-product engine encodes through the
 per-edge Kronecker rule.  A Monte Carlo engine over Haar-random connections
 serves as the independent oracle.
+
+Subdivision, alignment, surface refinement and the Weyl, gauge and matrix
+multipliers are per-edge linear maps on a monomial sum, and one kernel,
+``_rewrite_edges``, applies them all.  A rule maps one edge factor to its
+weighted replacements; ``_then`` composes a chain rule with the multipliers
+of the sub-edges it creates, so a Weyl operator is one rewrite of the
+original edges.  ``CylFun(...)`` validates its monomials; the kernel's own
+outputs, valid by construction, are built by ``CylFun._made`` unchecked.
 """
 
 from __future__ import annotations
@@ -74,22 +82,33 @@ class CylFun:
                 if not (0 <= m < rho.dim and 0 <= n < rho.dim):
                     raise DomainError("matrix index out of range")
 
+    @classmethod
+    def _made(cls, graph: Graph, group: str, terms: dict) -> "CylFun":
+        """A kernel output, valid by construction: ``__init__`` without the
+        edge, irrep and index checks."""
+        f = cls.__new__(cls)
+        f.graph, f.group = graph, group
+        f.terms = {k: complex(c) for k, c in terms.items() if c != 0}
+        return f
+
     def monomials(self):
         return [(c, dict(key)) for key, c in self.terms.items()]
 
     def __add__(self, other: "CylFun") -> "CylFun":
         if other.graph is not self.graph and set(other.graph.edges) != set(self.graph.edges):
             raise DomainError("cylindrical functions live on different graphs")
+        if other.group != self.group:
+            raise DomainError("irrep group mismatch")
         out = dict(self.terms)
         for k, c in other.terms.items():
             out[k] = out.get(k, 0) + c
-        return CylFun(self.graph, self.group, out)
+        return CylFun._made(self.graph, self.group, out)
 
     def __sub__(self, other: "CylFun") -> "CylFun":
         return self + other.scale(-1)
 
     def scale(self, a: complex) -> "CylFun":
-        return CylFun(self.graph, self.group, {k: a * c for k, c in self.terms.items()})
+        return CylFun._made(self.graph, self.group, {k: a * c for k, c in self.terms.items()})
 
     def coefficient(self, factors: dict) -> complex:
         return self.terms.get(_term_key({e: _normalize_factor(f) for e, f in factors.items()}), 0j)
@@ -217,17 +236,22 @@ def _rewrite_edges(terms: dict, rules: dict) -> dict:
     ``rules`` maps an edge id to a rule: a function from one factor
     (irrep key, m, n) on that edge to its replacement, a list of
     (weight, {new edge id: factor}).  Edges without a rule keep their
-    factors.  Each rule runs once per distinct factor, and keys merge after
-    every edge, so the work follows the distinct partial monomials rather
-    than the product of the per-edge expansions.
+    factors.  Each rule runs once per distinct factor, its alternatives are
+    kept as sorted item tuples, and keys merge after every edge, so the work
+    follows the distinct partial monomials rather than the product of the
+    per-edge expansions.  A new edge id may reuse the id of an edge still to
+    be rewritten, but not that of a kept edge or of another rule's output:
+    that raises DomainError.
     """
     # (factors still to rewrite, key of the rewritten ones) -> coefficient;
     # keeping the two apart lets a new edge reuse the id of an old one
-    state = {}
+    state, kept = {}, set()
     for key, coeff in terms.items():
         todo = tuple(item for item in key if item[0] in rules)
         done = tuple(item for item in key if item[0] not in rules)
+        kept.update(eid for eid, _fac in done)
         state[(todo, done)] = state.get((todo, done), 0) + coeff
+    owner = {}  # new edge id -> the edge whose rule made it
     for eid in sorted(rules):  # the order of ``todo``: its head is the next edge
         rule, seen, nxt = rules[eid], {}, {}
         for (todo, done), coeff in state.items():
@@ -235,14 +259,34 @@ def _rewrite_edges(terms: dict, rules: dict) -> dict:
                 nxt[(todo, done)] = nxt.get((todo, done), 0) + coeff
                 continue
             fac = todo[0][1]
-            if fac not in seen:
-                seen[fac] = rule(fac)
-            rest, base = todo[1:], dict(done)
-            for weight, new in seen[fac]:
-                k = (rest, _term_key({**base, **new}))
+            alts = seen.get(fac)
+            if alts is None:
+                alts = seen[fac] = [(weight, tuple(sorted(new.items())))
+                                    for weight, new in rule(fac)]
+                for new_id in {new_id for _weight, items in alts for new_id, _f in items}:
+                    if new_id in kept or owner.setdefault(new_id, eid) != eid:
+                        raise DomainError(f"the rule for edge {eid!r} makes edge {new_id!r}, "
+                                          "which another edge already holds")
+            rest = todo[1:]
+            for weight, items in alts:
+                k = (rest, tuple(sorted(done + items)) if done else items)
                 nxt[k] = nxt.get(k, 0) + coeff * weight
         state = nxt
     return {done: coeff for (_todo, done), coeff in state.items()}
+
+
+def _then(chain, mult: dict):
+    """Rule for ``chain`` followed by the rules ``mult`` on the edges it
+    creates: ``_rewrite_edges`` of one factor's chain expansion, merged."""
+
+    def rule(fac):
+        terms = {}
+        for weight, new in chain(fac):
+            key = tuple(sorted(new.items()))
+            terms[key] = terms.get(key, 0) + weight
+        return [(weight, dict(key)) for key, weight in _rewrite_edges(terms, mult).items()]
+
+    return rule
 
 
 def _multiplier_rule(eid: str, left=None, right=None):
@@ -308,28 +352,32 @@ def subdivide_edge(f: CylFun, eid: str, t: float) -> CylFun:
     if not (0.0 < t < 1.0):
         raise DomainError("breakpoint must be interior")
     new_graph, ids = f.graph.split_edge(eid, t)
-    return CylFun(new_graph, f.group, _rewrite_edges(f.terms, {eid: _chain_rule(ids)}))
+    return CylFun._made(new_graph, f.group, _rewrite_edges(f.terms, {eid: _chain_rule(ids)}))
 
 
 def refine_for_surface(f: CylFun, surface: OrientedSurface) -> CylFun:
     """Split each edge into the pieces of its minimal decomposition, so that
     every edge is internal or external for the surface."""
-    return _refine_with_status(f, surface)[0]
+    graph, _status, subs = _refinement(f, surface)
+    if not subs:
+        return f
+    rules = {eid: _chain_rule(sub) for eid, sub in subs.items()}
+    return CylFun._made(graph, f.group, _rewrite_edges(f.terms, rules))
 
 
-def _refine_with_status(f: CylFun, surface: OrientedSurface):
-    """``refine_for_surface`` and, from the same decompositions, the status
-    ('internal' or 'external') of every edge of the refined graph."""
+def _refinement(f: CylFun, surface: OrientedSurface):
+    """The plan of ``refine_for_surface``, from one decomposition per edge:
+    the refined graph, the status ('internal' or 'external') of each of its
+    edges, and the sub-edge ids of each split edge of ``f``, in chain order."""
     decs = {eid: decompose_minimal(path, surface).pieces for eid, path in f.graph.edges.items()}
     status = {eid: ps[0].status for eid, ps in decs.items() if len(ps) == 1}
     split = {eid: ps for eid, ps in decs.items() if len(ps) > 1}
     if not split:
-        return f, status
+        return f.graph, status, {}
     graph, ids = f.graph.split_edges({eid: [p.path for p in ps] for eid, ps in split.items()})
     for eid, sub in ids.items():
         status.update(zip(sub, (p.status for p in split[eid])))
-    rules = {eid: _chain_rule(sub) for eid, sub in ids.items()}
-    return CylFun(graph, f.group, _rewrite_edges(f.terms, rules)), status
+    return graph, status, ids
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +392,7 @@ def _refine_onto(f: CylFun, ref_graph: Graph, word_for_edge: dict) -> CylFun:
         raise DomainError("refinement reversed an edge chain")
     rules = {eid: _chain_rule([sub for sub, _sign in word])
              for eid, word in word_for_edge.items()}
-    return CylFun(ref_graph, f.group, _rewrite_edges(f.terms, rules))
+    return CylFun._made(ref_graph, f.group, _rewrite_edges(f.terms, rules))
 
 
 def align_to_common(f1: CylFun, f2: CylFun):

@@ -224,8 +224,11 @@ def tensor_casimir_check(rho: Irrep, basis: LieBasis, j_factors: int, t0: float,
 
 
 def chain_graph(n_edges: int, dim: int = 3) -> Graph:
+    """Unit segments along the first axis, ids as ``Graph.from_paths`` gives;
+    they meet only at shared endpoints, so the graph needs no check."""
     pts = [tuple([i] + [0] * (dim - 1)) for i in range(n_edges + 1)]
-    return Graph.from_paths([PolyPath([pts[i], pts[i + 1]]) for i in range(n_edges)])
+    return Graph({f"e{i}": PolyPath([pts[i], pts[i + 1]]) for i in range(n_edges)},
+                 validate=False)
 
 
 def chain_gsn(rho: Irrep, n_edges: int, dim: int = 3) -> CylFun:
@@ -238,7 +241,7 @@ def insert_left_matrix(f: CylFun, eid: str, mat: np.ndarray) -> CylFun:
     """Left-multiply the holonomy inside every factor on one edge:
     rho^m_n(M h) = sum_r M^m_r rho^r_n(h)."""
     rule = _multiplier_rule(eid, lambda rho: mat)
-    return CylFun(f.graph, f.group, _rewrite_edges(f.terms, {eid: rule}))
+    return CylFun._made(f.graph, f.group, _rewrite_edges(f.terms, {eid: rule}))
 
 
 def _signed_basis(basis: LieBasis):
@@ -261,7 +264,7 @@ def _assignment_state(t_state: CylFun, mults: dict, edge_ids, assignment,
     for j, eid in enumerate(edge_ids[1:], start=1):
         mat = mults[(-1) ** (j + s_base)][assignment[j - 1]]
         rules[eid] = _multiplier_rule(eid, lambda rho, mat=mat: mat)
-    return CylFun(t_state.graph, t_state.group, _rewrite_edges(t_state.terms, rules))
+    return CylFun._made(t_state.graph, t_state.group, _rewrite_edges(t_state.terms, rules))
 
 
 _WINDING_BLOCK = 2**16  # rows x dim^J entries per block of ``_winding_rows``: ~1 MB

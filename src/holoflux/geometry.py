@@ -267,6 +267,8 @@ class PolyPath:
         self.dim = dim
         lens = [math.dist(pt_float(a), pt_float(b)) for a, b in zip(verts, verts[1:])]
         total = sum(lens)
+        if total == 0:
+            raise GeometryError("path has zero length in floating point")
         self._cum = [0.0]
         for L in lens:
             self._cum.append(self._cum[-1] + L / total)

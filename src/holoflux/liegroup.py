@@ -109,6 +109,10 @@ class GroupElement:
         """Integer power; k may be negative or zero."""
         if k == 0:
             return identity(self.group)
+        if k == 1:
+            return self
+        if k == -1:
+            return self.inverse()
         base = self.matrix if k > 0 else self.matrix.conj().T
         out = np.eye(base.shape[0], dtype=complex)
         for _ in range(abs(k)):
@@ -137,12 +141,22 @@ def _check_group_stack(group: str, mats: np.ndarray) -> None:
         raise GroupValidationError("matrix is not unitary within 1e-12")
 
 
+_IDENTITY = {}  # group -> its identity element, built on first use
+
+
 def identity(group: str) -> GroupElement:
-    if group == "u1":
-        return GroupElement("u1", np.eye(1, dtype=complex))
-    if group == "su2":
-        return GroupElement("su2", np.eye(2, dtype=complex))
-    raise GroupValidationError(f"unknown group tag {group!r}")
+    """The identity of ``group``: one validated element per group, shared by
+    every caller, so its matrix is read-only.  It is built on first use, not
+    at import, where validating it would load LAPACK into every process."""
+    e = _IDENTITY.get(group)
+    if e is None:
+        side = _SIDE.get(group)
+        if side is None:
+            raise GroupValidationError(f"unknown group tag {group!r}")
+        e = GroupElement(group, np.eye(side, dtype=complex))
+        e.matrix.flags.writeable = False
+        _IDENTITY[group] = e
+    return e
 
 
 def u1_element(theta: float) -> GroupElement:

@@ -2,12 +2,14 @@
 
 A Weyl operator is the pull-back of the flux action: on an external edge
 carrying the factor sqrt(d) rho^m_n, it inserts the left multiplier
-rho(d(start)^sigma_out) and the right multiplier rho(d(end)^sigma_in).  The
-multipliers are applied edge by edge, merging monomials after each edge, and
-expanded symbolically, so every operator identity below is an
-exact-arithmetic statement.  Orientation reversal of the surface gives the
-adjoint (equivalently, inverse labels).  Graphomorphisms act by relabeling
-the underlying graph; gauge transforms insert vertex factors.
+rho(d(start)^sigma_out) and the right multiplier rho(d(end)^sigma_in).  Each
+original edge gets one rule: its split into the pieces of its minimal
+decomposition, followed by the multipliers of its external pieces, merged per
+factor.  One rewrite of the monomial sum applies these rules, expanded
+symbolically, so every operator identity below is an exact-arithmetic
+statement.  Orientation reversal of the surface gives the adjoint
+(equivalently, inverse labels).  Graphomorphisms act by relabeling the
+underlying graph; gauge transforms insert vertex factors.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .connections import (
     constant_label,
     quasi_flux,
 )
-from .cylindrical import CylFun, _multiplier_rule, _refine_with_status, _rewrite_edges
+from .cylindrical import CylFun, _chain_rule, _multiplier_rule, _refinement, _rewrite_edges, _then
 from .geometry import (
     AffineMap,
     Graph,
@@ -98,19 +100,23 @@ def apply_weyl(w: WeylDescriptor, f: CylFun) -> CylFun:
     """Apply the Weyl operator: (W f)(A) = f(flux-translated A), exactly.
 
     The function's graph is refined internally so each edge is internal or
-    external; external-edge factors pick up the boundary multipliers.
+    external; external-edge factors pick up the boundary multipliers.  An
+    edge's split and the multipliers of its pieces form one rule.
     """
     surface = w.effective_surface()
-    f, status = _refine_with_status(f, surface)
-    rules = {}
-    for eid, path in f.graph.edges.items():
+    graph, status, subs = _refinement(f, surface)
+    mult = {}
+    for eid, path in graph.edges.items():
         if status[eid] == "internal":
             continue
         sig_out, sig_in = sigma_pair(surface, path)
         if (sig_out, sig_in) != (0, 0):
-            rules[eid] = _multiplier_rule(eid, _rep_of(w.label.at(path.start).power(sig_out)),
-                                          _rep_of(w.label.at(path.end).power(sig_in)))
-    return CylFun(f.graph, f.group, _rewrite_edges(f.terms, rules))
+            mult[eid] = _multiplier_rule(eid, _rep_of(w.label.at(path.start).power(sig_out)),
+                                         _rep_of(w.label.at(path.end).power(sig_in)))
+    rules = {eid: mult[eid] for eid in f.graph.edges if eid in mult}
+    for eid, sub in subs.items():
+        rules[eid] = _then(_chain_rule(sub), {sid: mult[sid] for sid in sub if sid in mult})
+    return CylFun._made(graph, f.group, _rewrite_edges(f.terms, rules))
 
 
 def _rep_of(g: GroupElement):
@@ -238,7 +244,7 @@ def apply_graphomorphism(phi: Graphomorphism, f: CylFun) -> CylFun:
     """
     new_edges = {eid: phi.on_path(p) for eid, p in f.graph.edges.items()}
     new_graph = Graph(new_edges, validate=False)
-    return CylFun(new_graph, f.group, dict(f.terms))
+    return CylFun._made(new_graph, f.group, f.terms)
 
 
 def map_weyl_descriptor(phi: Graphomorphism, w: WeylDescriptor) -> WeylDescriptor:
@@ -329,7 +335,7 @@ def apply_gauge(gt: GaugeTransform, f: CylFun) -> CylFun:
         gl, gr = gt.at(path.start), gt.at(path.end)
         if not (gl.is_identity() and gr.is_identity()):
             rules[eid] = _multiplier_rule(eid, _rep_of(gl.inverse()), _rep_of(gr))
-    return CylFun(f.graph, f.group, _rewrite_edges(f.terms, rules))
+    return CylFun._made(f.graph, f.group, _rewrite_edges(f.terms, rules))
 
 
 def conjugate_label_by_gauge(gt: GaugeTransform, w: WeylDescriptor) -> WeylDescriptor:

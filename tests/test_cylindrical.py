@@ -9,6 +9,12 @@ from hypothesis import strategies as st
 
 from holoflux.connections import DomainError, RestrictedConnection, holonomy, random_connection
 from holoflux.cylindrical import (
+    CylFun,
+    _chain_rule,
+    _multiplier_rule,
+    _rewrite_edges,
+    _term_key,
+    _then,
     align_to_common,
     cylfun,
     evaluate,
@@ -19,11 +25,13 @@ from holoflux.cylindrical import (
     is_gsn,
     norm_l2,
     orthogonality_predicate,
+    refine_for_surface,
     subdivide_edge,
 )
 from holoflux.connections import edge_status
 from holoflux.estimates import insert_left_matrix
 from holoflux.geometry import (
+    AffineMap,
     Graph,
     OrientedSurface,
     PolyPath,
@@ -33,7 +41,15 @@ from holoflux.geometry import (
     sigma_eval,
 )
 from holoflux.liegroup import GroupValidationError, Irrep, haar_sample, identity, parse_irrep
-from holoflux.weylops import GaugeTransform, apply_gauge, apply_weyl, weyl_constant
+from holoflux.scene import cylfun_from_json
+from holoflux.weylops import (
+    GaugeTransform,
+    Graphomorphism,
+    apply_gauge,
+    apply_graphomorphism,
+    apply_weyl,
+    weyl_constant,
+)
 
 HALF = "su2:1/2"
 ONE = "su2:1"
@@ -554,3 +570,181 @@ def test_align_when_a_new_edge_reuses_an_old_id():
         coarse = RestrictedConnection(coarse_graph, "su2",
                                       {"e0": c("e0") @ c("e1"), "e1": c("e2")})
         assert abs(evaluate(a1, c) - evaluate(f1, coarse)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the code it replaced
+# ---------------------------------------------------------------------------
+
+
+def rewrite_edges_reference(terms, rules):
+    """The edge-wise kernel as it was before rule alternatives were cached as
+    sorted item tuples: every new key is a merged dict, sorted."""
+    state = {}
+    for key, coeff in terms.items():
+        todo = tuple(item for item in key if item[0] in rules)
+        done = tuple(item for item in key if item[0] not in rules)
+        state[(todo, done)] = state.get((todo, done), 0) + coeff
+    for eid in sorted(rules):
+        rule, seen, nxt = rules[eid], {}, {}
+        for (todo, done), coeff in state.items():
+            if not todo or todo[0][0] != eid:
+                nxt[(todo, done)] = nxt.get((todo, done), 0) + coeff
+                continue
+            fac = todo[0][1]
+            if fac not in seen:
+                seen[fac] = rule(fac)
+            rest, base = todo[1:], dict(done)
+            for weight, new in seen[fac]:
+                k = (rest, _term_key({**base, **new}))
+                nxt[k] = nxt.get(k, 0) + coeff * weight
+        state = nxt
+    return {done: coeff for (_todo, done), coeff in state.items()}
+
+
+def apply_weyl_two_pass(w, f):
+    """``apply_weyl`` as it was before an edge's split and its multipliers
+    formed one rule: refine every edge, then multiply the refined sum."""
+    surface = w.effective_surface()
+    refined = refine_for_surface(f, surface)
+    rules = {}
+    for eid, path in refined.graph.edges.items():
+        if edge_status(path, surface) == "internal":
+            continue
+        sig_out = sigma_eval(surface, path, "outgoing")
+        sig_in = sigma_eval(surface, path, "incoming")
+        if (sig_out, sig_in) != (0, 0):
+            left, right = w.label.at(path.start).power(sig_out), w.label.at(path.end).power(sig_in)
+            rules[eid] = _multiplier_rule(eid, lambda rho, g=left: rho.evaluate(g),
+                                          lambda rho, g=right: rho.evaluate(g))
+    return refined.graph, rewrite_edges_reference(refined.terms, rules)
+
+
+# most monomials a Weyl operator on PLANE may make in the tests below
+WEYL_TERMS_CAP = 10**5
+
+
+def weyl_terms_bound(f):
+    """A bound on the monomials of a Weyl operator on PLANE applied to f: a
+    factor of dimension d on an edge of k pieces becomes at most d^(2k)."""
+    pieces = {eid: len(decompose_minimal(path, PLANE).pieces) for eid, path in f.graph.edges.items()}
+    return sum(math.prod(parse_irrep(fac[0]).dim ** (2 * pieces[eid]) for eid, fac in key)
+               for key in f.terms)
+
+
+def random_multiplier(eid, rng):
+    """A multiplier rule with fixed random matrices per dimension; each side
+    is left out (the identity) with probability 1/3."""
+    mats = {}
+
+    def side(rho):
+        d = rho.dim
+        if d not in mats:
+            mats[d] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return mats[d]
+
+    left, right = rng.integers(0, 3, size=2)
+    return _multiplier_rule(eid, side if left else None, side if right else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_states(), st.lists(st.sampled_from(("keep", "chain", "mult", "then")),
+                                min_size=3, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_rewrite_edges_equals_reference(f, kinds, seed):
+    # chain, multiplier and composed rules, alone and mixed, on 1-4 monomials
+    rng = np.random.default_rng(seed)
+    rules = {}
+    for eid, kind in zip(sorted(f.graph.edges), kinds):
+        sub = [eid + ".a", eid + ".b.a", eid + ".b.b"][:int(rng.integers(2, 4))]
+        if kind == "chain":
+            rules[eid] = _chain_rule(sub)
+        elif kind == "mult":
+            rules[eid] = random_multiplier(eid, rng)
+        elif kind == "then":
+            rules[eid] = _then(_chain_rule(sub), {s: random_multiplier(s, rng) for s in sub[1:]})
+    assert _rewrite_edges(f.terms, rules) == rewrite_edges_reference(f.terms, rules)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_states(), st.sampled_from(("natural", "inverse")), st.integers(0, 2**32 - 1))
+def test_apply_weyl_equals_two_pass(f, rule, seed):
+    assume(weyl_terms_bound(f) <= WEYL_TERMS_CAP)
+    w = weyl_constant(PLANE, haar_sample(np.random.default_rng(seed), "su2"), rule)
+    graph, expected = apply_weyl_two_pass(w, f)
+    out = apply_weyl(w, f)
+    assert out.graph.edges.keys() == graph.edges.keys()
+    assert all(out.graph.edges[e].vertices == p.vertices for e, p in graph.edges.items())
+    assert_terms_close(out.terms, expected)
+
+
+def test_rewrite_edges_rejects_a_new_id_that_is_taken():
+    # a rule's output may not reuse the id of a kept edge, nor an id that
+    # another rule makes; it may reuse the id of an edge still to rewrite
+    terms = {_term_key({"e0": (HALF, 0, 1), "e1": (HALF, 1, 0)}): 1.0}
+    with pytest.raises(DomainError):
+        _rewrite_edges(terms, {"e0": _chain_rule(["e0.a", "e1"])})
+    with pytest.raises(DomainError):
+        _rewrite_edges(terms, {"e0": _chain_rule(["x", "y"]), "e1": _chain_rule(["y", "z"])})
+    out = _rewrite_edges(terms, {"e0": _chain_rule(["e0", "e1"]), "e1": _chain_rule(["e2"])})
+    assert out == rewrite_edges_reference(
+        terms, {"e0": _chain_rule(["e0", "e1"]), "e1": _chain_rule(["e2"])})
+
+
+def assert_valid(g):
+    """The public constructor accepts what the kernel built."""
+    CylFun(g.graph, g.group, g.terms)
+    assert all(c != 0 for c in g.terms.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph_states(), graph_states(), st.integers(0, 2**32 - 1))
+def test_kernel_outputs_pass_the_public_validator(f, f2, seed):
+    assume(weyl_terms_bound(f) <= WEYL_TERMS_CAP)
+    rng = np.random.default_rng(seed)
+    w = weyl_constant(PLANE, haar_sample(rng, "su2"))
+    points = sorted(f.graph.vertices())
+    gt = GaugeTransform("su2", {p: haar_sample(rng, "su2") for p in points[::2]})
+    eid = sorted(f.graph.edges)[0]
+    phi = Graphomorphism(affine=AffineMap([[0, 1, 0], [-1, 0, 0], [0, 0, 2]], [1, 0, 0]))
+    # the inserted matrix fits one irrep: keep the monomials it can act on
+    rho_key = next((fac[0] for key in f.terms for e, fac in key if e == eid), HALF)
+    dim = parse_irrep(rho_key).dim
+    on_rho = cylfun(f.graph, "su2", [(c, m) for c, m in f.monomials()
+                                     if m.get(eid, (rho_key,))[0] == rho_key])
+    for g in (apply_weyl(w, f), apply_gauge(gt, f), refine_for_surface(f, PLANE),
+              *align_to_common(f, f2), subdivide_edge(f, eid, 0.5),
+              apply_graphomorphism(phi, f), insert_left_matrix(on_rho, eid, rng.normal(size=(dim, dim))),
+              f + f.scale(0.5j), f.scale(-2.0), f - f):
+        assert_valid(g)
+
+
+def test_zeros_are_dropped():
+    g = line_graph(2)
+    f = cylfun(g, "su2", [(1.5, {"e0": (HALF, 0, 1)}), (-0.5j, {"e1": (ONE, 2, 0)})])
+    assert (f - f).terms == {}
+    assert f.scale(0).terms == {}
+    assert (f + f.scale(-1)).terms == {}
+
+
+def test_public_constructors_reject_bad_monomials():
+    g = line_graph(2)
+    bad = [({"e7": (HALF, 0, 0)}, "unknown edge"),
+           ({"e0": ("u1:1", 0, 0)}, "group mismatch"),
+           ({"e0": (HALF, 2, 0)}, "index out of range"),
+           ({"e1": (ONE, 0, -1)}, "index out of range")]
+    for factors, _why in bad:
+        with pytest.raises(DomainError):
+            cylfun(g, "su2", [(1.0, factors)])
+        with pytest.raises(DomainError):
+            CylFun(g, "su2", {_term_key(factors): 1.0})
+        with pytest.raises(DomainError):
+            gsn(g, "su2", {"e0": (HALF, 0, 0), "e1": (HALF, 0, 0), **factors})
+        obj = {"schema": 1, "graph": "g", "monomials": [
+            {"coeff": [1.0, 0.0], "factors": {e: {"irrep": rho, "m": m, "n": n}
+                                              for e, (rho, m, n) in factors.items()}}]}
+        with pytest.raises(DomainError):
+            cylfun_from_json(obj, g, "su2")
+    charged = gsn(g, "u1", {"e0": ("u1:1", 0, 0), "e1": ("u1:-2", 0, 0)})
+    with pytest.raises(DomainError):
+        gsn(g, "su2", {"e0": (HALF, 0, 0), "e1": (HALF, 0, 0)}) + charged

@@ -9,6 +9,7 @@ from holoflux.estimates import (
     XiProfile,
     abelian_weyl_phase_check,
     casimir_gap_check,
+    chain_graph,
     chain_gsn,
     insert_left_matrix,
     matrix_element_sup,
@@ -20,6 +21,7 @@ from holoflux.estimates import (
     winding_average_check,
     xi,
 )
+from holoflux.geometry import Graph, PolyPath
 from holoflux.liegroup import (
     Irrep,
     exp_alg,
@@ -515,3 +517,15 @@ def test_winding_average_memory_stays_bounded():
     assert rep["assignments"] == 6**6
     assert rep["max_identity_deviation"] <= 1e-12
     assert peak < 64 * 2**20
+
+
+def test_chain_graph_equals_the_validated_graph():
+    # the chain skips the intersection tests; a validated build of the same
+    # paths must succeed and give the same edges under the same ids
+    for n in range(1, 7):
+        for dim in (2, 3):
+            pad = (0,) * (dim - 1)
+            checked = Graph.from_paths([PolyPath([(i,) + pad, (i + 1,) + pad]) for i in range(n)])
+            chain = chain_graph(n, dim)
+            assert list(chain.edges) == list(checked.edges) == [f"e{i}" for i in range(n)]
+            assert all(checked.edges[e].vertices == p.vertices for e, p in chain.edges.items())

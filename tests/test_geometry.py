@@ -60,6 +60,12 @@ def test_polypath_rejects_short_and_degenerate():
         PolyPath([(0,), (1,)])  # ambient dim 1
 
 
+def test_polypath_rejects_a_path_of_zero_float_length():
+    # the vertices differ exactly but are equal as floats
+    with pytest.raises(GeometryError):
+        PolyPath([(Fraction(1, 3), 0), (1 / 3, 0)])
+
+
 def test_polypath_rejects_self_intersection():
     with pytest.raises(GeometryError):
         PolyPath([(0, 0), (2, 0), (1, 1), (1, -1)])

@@ -49,6 +49,25 @@ def test_identity_elements():
     assert np.array_equal(identity("su2").matrix, np.eye(2))
 
 
+def test_identity_is_shared_and_read_only():
+    for group in ("u1", "su2"):
+        e = identity(group)
+        assert identity(group) is e
+        with pytest.raises(ValueError):
+            e.matrix[0, 0] = 2
+    with pytest.raises(GroupValidationError):
+        identity("so3")
+
+
+def test_power_of_one_and_minus_one():
+    g = haar_sample(np.random.default_rng(3), "su2")
+    assert g.power(1) is g
+    assert np.array_equal(g.power(-1).matrix, g.inverse().matrix)
+    assert g.power(0) is identity("su2")
+    assert g.power(3).dist(g @ g @ g) <= 1e-14
+    assert g.power(-2).dist(g.inverse() @ g.inverse()) <= 1e-14
+
+
 def test_group_element_rejects_nonunitary():
     with pytest.raises(GroupValidationError):
         GroupElement("su2", np.array([[1.0, 0.1], [0.0, 1.0]]))
