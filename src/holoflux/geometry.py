@@ -89,7 +89,20 @@ def _dot(p: Point, q: Point) -> Fraction:
 
 
 def _lerp(a: Point, b: Point, s: Fraction) -> Point:
-    return tuple(x + s * (y - x) for x, y in zip(a, b))
+    """a + s (b - a) exactly, as Fractions.  With s = n / q each coordinate is
+    (x (q - n) + y n) / q, built as one normalised Fraction."""
+    if s == 0:
+        return _exact(a)
+    if s == 1:
+        return _exact(b)
+    n, q = s.as_integer_ratio()
+    m = q - n
+    out = []
+    for x, y in zip(a, b):
+        xn, xd = x.as_integer_ratio()
+        yn, yd = y.as_integer_ratio()
+        out.append(Fraction(xn * yd * m + yn * xd * n, xd * yd * q))
+    return tuple(out)
 
 
 def _integer_points(*pts) -> tuple:
@@ -265,7 +278,8 @@ class PolyPath:
         """Store canonical vertices and their arclength-proportional breakpoints."""
         self.vertices = verts
         self.dim = dim
-        lens = [math.dist(pt_float(a), pt_float(b)) for a, b in zip(verts, verts[1:])]
+        fl = [tuple(map(float, v)) for v in verts]
+        lens = [math.dist(a, b) for a, b in zip(fl, fl[1:])]
         total = sum(lens)
         if total == 0:
             raise GeometryError("path has zero length in floating point")
@@ -274,13 +288,25 @@ class PolyPath:
             self._cum.append(self._cum[-1] + L / total)
         self._cum[-1] = 1.0
 
+    @classmethod
+    def _canonical(cls, verts: tuple, dim: int) -> "PolyPath":
+        """A path on vertices that are already canonical (distinct, with no
+        interior vertex strictly between its neighbours), stored as they are."""
+        if len(verts) < 2:
+            raise GeometryError("a path needs at least two vertices")
+        out = cls.__new__(cls)
+        out._set_vertices(verts, dim)
+        return out
+
     # The edge condition: no self-intersections except possibly v0 = vL.
     def _check_injective(self):
-        segs = list(zip(self.vertices, self.vertices[1:]))
+        segs = _segments(self)
         n = len(segs)
         for i in range(n):
             for j in range(i + 1, n):
-                inter = _segment_segment(segs[i][0], segs[i][1], segs[j][0], segs[j][1])
+                if not _boxes_meet(segs[i], segs[j]):
+                    continue
+                inter = _segment_segment(*segs[i][:2], *segs[j][:2])
                 for kind, data in inter:
                     if kind == "overlap":
                         raise GeometryError("path overlaps itself")
@@ -308,9 +334,7 @@ class PolyPath:
     def reversed(self) -> "PolyPath":
         """The path traversed backwards.  A reversed canonical vertex list is
         canonical, so the vertices are stored as they are."""
-        out = PolyPath.__new__(PolyPath)
-        out._set_vertices(self.vertices[::-1], self.dim)
-        return out
+        return PolyPath._canonical(self.vertices[::-1], self.dim)
 
     def same_geometry(self, other: "PolyPath") -> bool:
         return self.vertices == other.vertices
@@ -334,6 +358,9 @@ class PolyPath:
         lo, hi = self._cum[seg], self._cum[seg + 1]
         return lo + float(s) * (hi - lo)
 
+    # A sub-polyline of a canonical polyline is canonical: its only new
+    # vertices are cut points on the parent's own segments.  So split_at and
+    # subpath_exact store their vertices as they are.
     def split_at(self, seg: int, s: Fraction):
         """Split into two sub-paths at exact location (seg, s); s in (0,1) strictly
         interior to the polyline."""
@@ -346,7 +373,8 @@ class PolyPath:
             second = second[1:]
         if len(first) < 2 or len(second) < 2:
             raise GeometryError("split point must be interior")
-        return PolyPath(first, validate=False), PolyPath(second, validate=False)
+        return (PolyPath._canonical(tuple(first), self.dim),
+                PolyPath._canonical(tuple(second), self.dim))
 
     def subpath_exact(self, loc0, loc1) -> "PolyPath":
         (i0, s0), (i1, s1) = loc0, loc1
@@ -359,7 +387,7 @@ class PolyPath:
                 verts.append(v)
         if p1 != verts[-1]:
             verts.append(p1)
-        return PolyPath(verts, validate=False)
+        return PolyPath._canonical(tuple(verts), self.dim)
 
     def concat(self, other: "PolyPath") -> "PolyPath":
         if self.end != other.start:
@@ -451,22 +479,21 @@ class Simplex:
     def ambient_dim(self) -> int:
         return len(self.vertices[0])
 
-    def _numerators(self, p: Sequence):
-        """Codimension 1: (u, d) with lambda_i(p) = u_i / (w_i d), or None if
-        p is off the hyperplane."""
-        (P,), d = _integer_points(p)
+    def _numerators(self, P: list, d: int):
+        """Codimension 1: u with lambda_i(x) = u_i / (w_i d) at x = P / d, or
+        None if x is off the hyperplane."""
         if _affine(self.plane, P, d):
             return None
-        return [_affine(l, P, d) for l, _ in self.bary_rows], d
+        return [_affine(l, P, d) for l, _ in self.bary_rows]
 
     def barycentric(self, p: Sequence):
         """Exact barycentric coordinates, or None if p is off the affine hull.
         The coordinates of p convert exactly (floats included)."""
         if self.plane is not None:
-            num = self._numerators(p)
-            if num is None:
+            (P,), d = _integer_points(p)
+            u = self._numerators(P, d)
+            if u is None:
                 return None
-            u, d = num
             return [Fraction(ui, w * d) for ui, (_, w) in zip(u, self.bary_rows)]
         p = _exact(p)
         v0 = self.vertices[0]
@@ -480,10 +507,13 @@ class Simplex:
 
     def contains(self, p: Sequence) -> bool:
         if self.plane is not None:
-            num = self._numerators(p)
-            lam = None if num is None else num[0]  # signs of lambda_i
-        else:
-            lam = self.barycentric(p)
+            (P,), d = _integer_points(p)
+            return self._admits(self._numerators(P, d))  # signs of lambda_i
+        return self._admits(self.barycentric(p))
+
+    def _admits(self, lam) -> bool:
+        """Whether barycentric coordinates, or numbers with their signs, place
+        a point in the point set: none negative, zero only on closed facets."""
         if lam is None:
             return False
         for i, l in enumerate(lam):
@@ -567,8 +597,13 @@ class OrientedSurface:
                                piece_ids=self.piece_ids, validate=False)
 
     def find_piece(self, p: Point):
+        (P,), d = _integer_points(p)  # once for every codimension-1 piece
         for pid, s in zip(self.piece_ids, self.pieces):
-            if s.contains(p):
+            if s.plane is None:
+                hit = s.contains(p)
+            else:
+                hit = s._admits(s._numerators(P, d))
+            if hit:
                 return pid, s
         return None, None
 
@@ -872,17 +907,17 @@ def decompose_minimal(path: PolyPath, surface: OrientedSurface) -> Decomposition
 # ---------------------------------------------------------------------------
 
 
-def _initial_sign(surface: OrientedSurface, path: PolyPath) -> int:
-    """Sign of the side the initial segment leaves into; 0 for off-surface,
-    tangent, or in-surface starts.  Natural and topological rules coincide on
-    PL data (tangency collapses), so both map here."""
-    pid, piece = surface.find_piece(path.start)
+def _departure_sign(surface: OrientedSurface, v0: Point, v1: Point) -> int:
+    """Sign of the side the segment v0 v1 leaves into from v0; 0 for
+    off-surface, tangent, or in-surface starts.  Natural and topological rules
+    coincide on PL data (tangency collapses), so both map here."""
+    pid, piece = surface.find_piece(v0)
     if piece is None:
         return 0
     if piece.normal is None:
         return 0  # no orientation data (always so in codimension >= 2)
     # n . (v1 - v0) for the exact plane row, oriented by the stored normal
-    (P0, P1), _ = _integer_points(path.vertices[0], path.vertices[1])
+    (P0, P1), _ = _integer_points(v0, v1)
     dp = sum(n * (y - x) for n, x, y in zip(piece.plane, P0, P1))
     if dp > 0:
         s = 1
@@ -900,12 +935,14 @@ def sigma_eval(surface: OrientedSurface, path: PolyPath, direction: str) -> int:
     leaves to the positive-normal side, -1 to the negative side, 0 when the
     start is off the surface or the departure is tangent/inside.
     direction='incoming' is the compatible partner at path(1):
-    sigma_in(path) = -sigma_out(path reversed).
+    sigma_in(path) = -sigma_out(path reversed), the departure from the last
+    vertex toward the one before it.
     """
+    v = path.vertices
     if direction == "outgoing":
-        return _initial_sign(surface, path)
+        return _departure_sign(surface, v[0], v[1])
     if direction == "incoming":
-        return -_initial_sign(surface, path.reversed())
+        return -_departure_sign(surface, v[-1], v[-2])
     raise GeometryError(f"unknown direction {direction!r}")
 
 
@@ -933,7 +970,11 @@ def punctures(path: PolyPath, surface: OrientedSurface):
     later piece have positive product (the path passes through).  Nonzero
     signs at any piece endpoint mark half-punctures.
     """
-    dec = decompose_minimal(path, surface)
+    return _punctures_of(decompose_minimal(path, surface), surface)
+
+
+def _punctures_of(dec: Decomposition, surface: OrientedSurface):
+    """punctures() of a path, from its minimal decomposition."""
     out = []
     pieces = dec.pieces
     for i in range(len(pieces) + 1):
@@ -970,7 +1011,7 @@ def completely_transversal(path: PolyPath, surface: OrientedSurface) -> bool:
     dec = decompose_minimal(path, surface)
     if any(p.status == "internal" for p in dec.pieces):
         return False
-    return all(p.is_puncture for p in punctures(path, surface))
+    return all(p.is_puncture for p in _punctures_of(dec, surface))
 
 
 # ---------------------------------------------------------------------------
@@ -1043,14 +1084,29 @@ class Graph:
         return Graph(new_edges, validate=False), ids
 
 
+def _segments(path: PolyPath) -> list:
+    """The segments (a, b, lo, hi) of a path, with the corners lo and hi of
+    each one's exact bounding box."""
+    v = path.vertices
+    return [(a, b, tuple(map(min, a, b)), tuple(map(max, a, b))) for a, b in zip(v, v[1:])]
+
+
+def _boxes_meet(s1: tuple, s2: tuple) -> bool:
+    """Whether the exact bounding boxes of two _segments entries meet; two
+    segments whose boxes are disjoint cannot meet."""
+    return all(l1 <= h2 and l2 <= h1 for l1, h1, l2, h2 in zip(s1[2], s1[3], s2[2], s2[3]))
+
+
 def _edges_meet_only_at_endpoints(p1: PolyPath, p2: PolyPath) -> bool:
     ends1 = {p1.start, p1.end}
     ends2 = {p2.start, p2.end}
-    segs1 = list(zip(p1.vertices, p1.vertices[1:]))
-    segs2 = list(zip(p2.vertices, p2.vertices[1:]))
-    for a, b in segs1:
-        for c, d in segs2:
-            for kind, data in _segment_segment(a, b, c, d):
+    segs2 = _segments(p2)
+    for s1 in _segments(p1):
+        a, b = s1[:2]
+        for s2 in segs2:
+            if not _boxes_meet(s1, s2):
+                continue
+            for kind, data in _segment_segment(a, b, *s2[:2]):
                 if kind == "overlap":
                     return False
                 s, t = data
@@ -1064,7 +1120,14 @@ def build_graph(paths: Sequence[PolyPath]):
     """Split paths at mutual intersections so edges meet only at endpoints.
 
     Returns (graph, words): for each input path, its expression as a sequence
-    of (edge_id, +1/-1) over the produced graph.
+    of (edge_id, +1/-1) over the produced graph.  Each path is cut at every
+    point and overlap end it shares with another path, and equal sub-edges,
+    either way round, become one edge.
+
+    The graph is correct by construction, so it is built without the
+    pairwise check of ``Graph(...)``: that its edges meet only at endpoints
+    is checked by ``test_build_graph_matches_linear_scan_reference`` in
+    ``tests/test_geometry.py``, not at run time.
     """
     paths = list(paths)
     cuts = [set() for _ in paths]  # exact (segment, s) per path
@@ -1072,12 +1135,14 @@ def build_graph(paths: Sequence[PolyPath]):
         for seg in range(len(p.vertices) - 1):
             cuts[i].add((seg, Fraction(0)))
             cuts[i].add((seg, Fraction(1)))
+    segs = [_segments(p) for p in paths]
     for i in range(len(paths)):
         for j in range(i + 1, len(paths)):
-            p, q = paths[i], paths[j]
-            for si, (a, b) in enumerate(zip(p.vertices, p.vertices[1:])):
-                for sj, (c, d) in enumerate(zip(q.vertices, q.vertices[1:])):
-                    for kind, data in _segment_segment(a, b, c, d):
+            for si, seg_i in enumerate(segs[i]):
+                for sj, seg_j in enumerate(segs[j]):
+                    if not _boxes_meet(seg_i, seg_j):
+                        continue
+                    for kind, data in _segment_segment(*seg_i[:2], *seg_j[:2]):
                         if kind == "point":
                             s, t = data
                             cuts[i].add((si, s))
@@ -1088,8 +1153,10 @@ def build_graph(paths: Sequence[PolyPath]):
                             cuts[i].add((si, s1))
                             cuts[j].add((sj, t0))
                             cuts[j].add((sj, t1))
-    # each path becomes a chain of sub-paths between consecutive cuts
-    edge_list = []  # canonical sub-edges
+    # each path becomes a chain of sub-paths between consecutive cuts;
+    # canonical vertex tuples, and their reverses, map to (edge index, sign)
+    edge_list = []
+    index = {}
     words = []
     for i, p in enumerate(paths):
         ordered = sorted(cuts[i])
@@ -1101,21 +1168,15 @@ def build_graph(paths: Sequence[PolyPath]):
         word = []
         for loc0, loc1 in zip(merged, merged[1:]):
             sub = p.subpath_exact(loc0, loc1)
-            idx = None
-            sign = 1
-            for k, e in enumerate(edge_list):
-                if e.same_geometry(sub):
-                    idx, sign = k, 1
-                    break
-                if e.same_geometry(sub.reversed()):
-                    idx, sign = k, -1
-                    break
-            if idx is None:
+            found = index.get(sub.vertices)
+            if found is None:
+                found = len(edge_list), 1
                 edge_list.append(sub)
-                idx, sign = len(edge_list) - 1, 1
-            word.append((f"e{idx}", sign))
+                index[sub.vertices] = found
+                index.setdefault(sub.vertices[::-1], (found[0], -1))
+            word.append((f"e{found[0]}", found[1]))
         words.append(word)
-    graph = Graph({f"e{k}": e for k, e in enumerate(edge_list)})
+    graph = Graph({f"e{k}": e for k, e in enumerate(edge_list)}, validate=False)
     return graph, words
 
 

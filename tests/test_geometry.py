@@ -25,7 +25,7 @@ from holoflux.geometry import (
     sigma_pair,
     solve_exact,
 )
-from holoflux.geometry import _segment_segment, _segment_simplex_events
+from holoflux.geometry import _lerp, _segment_segment, _segment_simplex_events
 
 
 def seg_surface_2d(x_lo=-2, x_hi=2, closed=True):
@@ -766,7 +766,7 @@ def segment_segment_reference(a, b, c, d):
 
 
 def initial_sign_reference(surface, path):
-    """_initial_sign from the stored normal, right when that normal is exact."""
+    """The outgoing sign from the stored normal, right when that normal is exact."""
     for s in surface.pieces:
         if contains_reference(s, path.start):
             if s.normal is None:
@@ -799,11 +799,12 @@ def combo(c, frame, coeffs):
 
 
 @st.composite
-def simplex_scenes(draw, codim1=False):
-    """A simplex (codimension 1 in a rational orthonormal frame, or any
-    q < k), with random open facets, and a sampler of points that lie in its
-    hyperplane, at its vertices, on its edges, off it, or in float."""
-    k = draw(st.sampled_from([2, 3, 4]))
+def simplex_scenes(draw, codim1=False, k=None):
+    """A simplex in R^k (codimension 1 in a rational orthonormal frame, or
+    any q < k), with random open facets, and a sampler of points that lie in
+    its hyperplane, at its vertices, on its edges, off it, or in float."""
+    if k is None:
+        k = draw(st.sampled_from([2, 3, 4]))
     frame = draw(st.sampled_from(EXACT_FRAMES[k]))
     c = draw(frac)
     if codim1 or draw(st.booleans()):
@@ -945,3 +946,218 @@ def test_normal_must_orient_a_hyperplane():
     with pytest.raises(GeometryError):
         Simplex([(0, 0), (1e-12, 0)], normal=(1, 0))
     assert Simplex([(0, 0), (1e-12, 0)], normal=(0, -1)).plane[:2] == (0, -1)
+
+
+# ---------------------------------------------------------------------------
+# exact points and sub-paths against plain Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+
+def lerp_reference(a, b, s):
+    return tuple(F(x) + s * (F(y) - F(x)) for x, y in zip(a, b))
+
+
+def subpath_reference(path, loc0, loc1):
+    """subpath_exact through the full constructor, which re-canonicalises."""
+    (i0, s0), (i1, s1) = loc0, loc1
+    verts = [lerp_reference(path.vertices[i0], path.vertices[i0 + 1], s0)]
+    for v in path.vertices[i0 + 1 : i1 + 1] + (
+            lerp_reference(path.vertices[i1], path.vertices[i1 + 1], s1),):
+        if v != verts[-1]:
+            verts.append(v)
+    return PolyPath(verts, validate=False)
+
+
+def split_reference(path, seg, s):
+    """split_at through the full constructor, which re-canonicalises."""
+    p = lerp_reference(path.vertices[seg], path.vertices[seg + 1], s)
+    first = list(path.vertices[: seg + 1]) + ([p] if path.vertices[seg] != p else [])
+    second = [p] + list(path.vertices[seg + 1 :])
+    if len(second) > 1 and second[1] == p:
+        second = second[1:]
+    if len(first) < 2 or len(second) < 2:
+        raise GeometryError("split point must be interior")
+    return PolyPath(first, validate=False), PolyPath(second, validate=False)
+
+
+def stored(*paths):
+    return [(p.vertices, p.dim, p._cum) for p in paths]
+
+
+def outcome(f, *args):
+    """The stored fields of the path or paths f returns, or its error."""
+    try:
+        out = f(*args)
+    except GeometryError:
+        return "GeometryError"
+    return stored(*(out if isinstance(out, tuple) else (out,)))
+
+
+coordinate = st.one_of(st.integers(-9, 9), frac,
+                       st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+ratio = st.one_of(st.sampled_from([F(0), F(1)]), frac.filter(lambda s: 0 < s < 1),
+                  st.floats(0, 1).map(F))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lerp_matches_fraction_arithmetic(data):
+    dim = data.draw(st.sampled_from([2, 3]))
+    a, b = (data.draw(st.tuples(*[coordinate] * dim)) for _ in range(2))
+    s = data.draw(ratio)
+    got = _lerp(a, b, s)
+    assert got == lerp_reference(a, b, s)
+    assert all(type(c) is F for c in got)
+
+
+location = st.tuples(st.integers(0, 4), ratio)
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_paths(), location, location)
+def test_subpaths_equal_recanonicalised_paths(path, loc0, loc1):
+    n = len(path.vertices) - 1
+    loc0, loc1 = sorted(((i % n, s) for i, s in (loc0, loc1)))
+    assert outcome(path.subpath_exact, loc0, loc1) == outcome(
+        subpath_reference, path, loc0, loc1)
+    assert outcome(path.split_at, *loc1) == outcome(split_reference, path, *loc1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_find_piece_matches_contains_loop(data):
+    k = data.draw(st.sampled_from([2, 3, 4]))
+    scenes = [data.draw(simplex_scenes(k=k)) for _ in range(data.draw(st.integers(1, 3)))]
+    # overlapping pieces are allowed here: both sides must pick the first
+    surface = OrientedSurface([s for s, _ in scenes], validate=False)
+    for _ in range(6):
+        p = data.draw(st.sampled_from(scenes))[1]()
+        want = next(((pid, s) for pid, s in zip(surface.piece_ids, surface.pieces)
+                     if s.contains(p)), (None, None))
+        pid, piece = surface.find_piece(p)
+        assert pid == want[0] and piece is want[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_incoming_sign_equals_reversed_outgoing_sign(data):
+    k = data.draw(st.sampled_from([2, 3]))
+    s, point = data.draw(simplex_scenes(codim1=True, k=k))
+    surface = OrientedSurface([s], inverted=data.draw(st.booleans()))
+    verts = [point() for _ in range(data.draw(st.integers(2, 4)))]
+    # distinct as floats too: the arclength parametrisation is float
+    assume(all([float(x) for x in a] != [float(x) for x in b]
+               for a, b in zip(verts, verts[1:])))
+    gamma = PolyPath(verts, validate=False)
+    assert sigma_eval(surface, gamma, "incoming") == -sigma_eval(
+        surface, gamma.reversed(), "outgoing")
+
+
+# ---------------------------------------------------------------------------
+# build_graph against the linear-scan reference
+# ---------------------------------------------------------------------------
+
+
+def build_graph_reference(paths):
+    """build_graph as a linear scan: every segment pair is intersected, each
+    sub-edge is matched against every earlier edge and its reverse, and the
+    graph is validated."""
+    paths = list(paths)
+    cuts = [{(seg, F(s)) for seg in range(len(p.vertices) - 1) for s in (0, 1)}
+            for p in paths]
+    for i in range(len(paths)):
+        for j in range(i + 1, len(paths)):
+            p, q = paths[i], paths[j]
+            for si, (a, b) in enumerate(zip(p.vertices, p.vertices[1:])):
+                for sj, (c, d) in enumerate(zip(q.vertices, q.vertices[1:])):
+                    for kind, data in _segment_segment(a, b, c, d):
+                        for s, t in [data] if kind == "point" else data:
+                            cuts[i].add((si, s))
+                            cuts[j].add((sj, t))
+    edge_list, words = [], []
+    for i, p in enumerate(paths):
+        merged = [(seg, s) for seg, s in sorted(cuts[i])
+                  if not (s == 1 and (seg + 1, 0) in cuts[i])]
+        word = []
+        for loc0, loc1 in zip(merged, merged[1:]):
+            sub = subpath_reference(p, loc0, loc1)
+            for k, e in enumerate(edge_list):
+                if e.same_geometry(sub):
+                    word.append((f"e{k}", 1))
+                    break
+                if e.same_geometry(PolyPath(sub.vertices[::-1], validate=False)):
+                    word.append((f"e{k}", -1))
+                    break
+            else:
+                edge_list.append(sub)
+                word.append((f"e{len(edge_list) - 1}", 1))
+        words.append(word)
+    return Graph({f"e{k}": e for k, e in enumerate(edge_list)}), words
+
+
+lattice = st.integers(-2, 2)
+on_segment = st.sampled_from([F(1, 3), F(1, 2), F(2, 3)])
+on_line = st.sampled_from([F(-1, 2), F(1, 4), F(3, 4), F(3, 2)])
+
+
+@st.composite
+def path_families(draw):
+    """2-4 edges in R^2 or R^3 that cross, meet in T-junctions, share
+    endpoints, overlap collinearly, retrace (either way) or close.
+
+    Vertices lie on a small lattice, in R^3 mostly on the plane z = x - y, so
+    that segments cross; others are earlier vertices, points inside earlier
+    segments, or pairs of points on an earlier segment's line."""
+    dim = draw(st.sampled_from([2, 3]))
+
+    def fresh():
+        x, y = draw(lattice), draw(lattice)
+        if dim == 2:
+            return (x, y)
+        return (x, y, draw(st.sampled_from([x - y, x - y, draw(lattice)])))
+
+    paths = []
+    for _ in range(draw(st.integers(2, 4))):
+        segs = [(a, b) for p in paths for a, b in zip(p.vertices, p.vertices[1:])]
+        kind = draw(st.sampled_from(["fresh", "fresh", "mixed", "mixed", "again"]))
+        if kind == "again" and paths:
+            p = draw(st.sampled_from(paths))
+            paths.append(p.reversed() if draw(st.booleans()) else p)
+            continue
+        verts = []
+        while len(verts) < draw(st.integers(2, 4)):
+            how = draw(st.sampled_from(["fresh", "shared", "inside", "overlap"]))
+            if how == "fresh" or not segs:
+                verts.append(fresh())
+            elif how == "shared":
+                verts.append(draw(st.sampled_from([v for a, b in segs for v in (a, b)])))
+            else:
+                a, b = draw(st.sampled_from(segs))
+                ws = [on_segment] if how == "inside" else [on_line, on_line]
+                verts.extend(lerp_reference(a, b, draw(w)) for w in ws)
+        if len(verts) >= 3 and draw(st.booleans()):
+            verts.append(verts[0])  # closed edge
+        verts = [v for i, v in enumerate(verts) if i == 0 or as_point(v) != as_point(verts[i - 1])]
+        try:
+            paths.append(PolyPath(verts))
+        except GeometryError:
+            continue
+    assume(len(paths) >= 2)
+    return paths
+
+
+@settings(max_examples=400, deadline=None)
+@given(path_families())
+def test_build_graph_matches_linear_scan_reference(paths):
+    graph, words = build_graph(paths)
+    ref_graph, ref_words = build_graph_reference(paths)
+    assert words == ref_words
+    assert stored(*graph.edges.values()) == stored(*ref_graph.edges.values())
+    assert list(graph.edges) == list(ref_graph.edges)
+    Graph(graph.edges)  # validated: the edges meet only at endpoints
+    for word, p in zip(words, paths):
+        chain = None
+        for eid, sign in word:
+            e = graph.edges[eid] if sign == 1 else graph.edges[eid].reversed()
+            chain = e if chain is None else chain.concat(e)
+        assert chain.vertices == p.vertices
