@@ -27,7 +27,14 @@ from typing import Iterable
 import numpy as np
 
 from .connections import DomainError, RestrictedConnection
-from .geometry import Graph, OrientedSurface, PolyPath, build_graph, decompose_minimal
+from .geometry import (
+    Graph,
+    OrientedSurface,
+    PolyPath,
+    _strictly_between,
+    build_graph,
+    decompose_minimal,
+)
 from .liegroup import GroupValidationError, Irrep, haar_sample_matrices, parse_irrep
 
 __all__ = [
@@ -498,60 +505,46 @@ def orthogonality_predicate(t1: CylFun, t2: CylFun) -> bool:
     return False
 
 
+def _cycle_segments(path: PolyPath) -> set:
+    """Unordered oriented segments of a closed polyline, merged across the
+    base point when it is collinear."""
+    verts = path.vertices[:-1]
+    n = len(verts)
+    keep = [b for i, b in enumerate(verts)
+            if not _strictly_between(verts[i - 1], b, verts[(i + 1) % n])]
+    return set(zip(keep, keep[1:] + keep[:1]))
+
+
 def gamma_based(t: CylFun, gamma: PolyPath, rho: Irrep) -> bool:
     """True iff the state's edges concatenate (forward) to gamma, all carry
     rho, and all two-valent indices match; closed paths admit any cyclic
     rotation with the wrap-around index matched as well."""
-    import itertools
-
     key = _single_key(t)
     fac = dict(key)
     if set(fac) != set(t.graph.edges):
         return False
     if any(f[0] != rho.key() for f in fac.values()):
         return False
-
-    def cycle_segments(path: PolyPath):
-        """Unordered oriented segments of a closed polyline, merged across
-        the base point when it is collinear."""
-        verts = list(path.vertices[:-1])
-        # rotate so index 0 is a genuine corner, then drop collinear vertices
-        from .geometry import _strictly_between
-
-        n = len(verts)
-        keep = []
-        for i in range(n):
-            a, b, c = verts[(i - 1) % n], verts[i], verts[(i + 1) % n]
-            if not _strictly_between(a, b, c):
-                keep.append(b)
-        return set(zip(keep, keep[1:] + keep[:1]))
-
-    for perm in itertools.permutations(list(t.graph.edges)):
-        chain = None
-        ok = True
-        for eid in perm:
-            p = t.graph.edges[eid]
-            if chain is None:
-                chain = p
-            elif chain.end != p.start:
-                ok = False
-                break
-            else:
-                chain = PolyPath(chain.vertices + p.vertices[1:], validate=False)
-        if not ok:
-            continue
-        same = chain.same_geometry(gamma)
-        rotated = (
-            not same
-            and gamma.is_closed
-            and chain.is_closed
-            and cycle_segments(chain) == cycle_segments(gamma)
-        )
-        if not (same or rotated):
-            continue
-        if any(fac[a][2] != fac[b][1] for a, b in zip(perm, perm[1:])):
-            continue
-        if gamma.is_closed and fac[perm[-1]][2] != fac[perm[0]][1]:
-            continue
-        return True
-    return False
+    # Walk the chain: an open gamma from the edge that starts where gamma
+    # starts, a closed one from any edge, since every rotation of a cycle
+    # carries the same index constraints.
+    rest = dict(t.graph.edges)
+    first = next((eid for eid, p in rest.items()
+                  if gamma.is_closed or p.start == gamma.start), None)
+    if first is None:
+        return False
+    order = [first]
+    chain = rest.pop(first)
+    while rest:
+        nxt = next((eid for eid, p in rest.items() if p.start == chain.end), None)
+        if nxt is None:
+            return False
+        order.append(nxt)
+        chain = chain.concat(rest.pop(nxt))
+    if gamma.is_closed:
+        if not (chain.is_closed and _cycle_segments(chain) == _cycle_segments(gamma)):
+            return False
+        order.append(order[0])  # the wrap-around index
+    elif not chain.same_geometry(gamma):
+        return False
+    return all(fac[a][2] == fac[b][1] for a, b in zip(order, order[1:]))

@@ -57,7 +57,9 @@ class GeometryError(ValueError):
 
 
 class PrecisionError(RuntimeError):
-    """A predicate could not be decided reliably (float fallback paths only)."""
+    """Raised by ``map_path`` when a stratified map is not affine along a
+    pre-split segment, and by the degenerate-kernel guard of
+    ``_segment_flat_events``, which exact arithmetic never reaches."""
 
 
 def as_point(coords: Sequence) -> Point:
@@ -820,26 +822,24 @@ class Decomposition:
         return [p.status for p in self.pieces]
 
 
+def _ordered_cuts(cuts, nseg: int) -> list:
+    """The cuts (segment, s) with s < 1, every segment start and the path end,
+    in order: any other cut (seg, 1) is the next segment's start (seg + 1, 0)."""
+    out = {(seg, Fraction(0)) for seg in range(nseg)}
+    out.add((nseg - 1, Fraction(1)))
+    out.update(c for c in cuts if c[1] != 1)
+    return sorted(out)
+
+
 def _cut_locations(path: PolyPath, surface: OrientedSurface):
     """All candidate cut locations (segment, s) where membership may change."""
-    locs = set()
-    nseg = len(path.vertices) - 1
-    for i in range(nseg):
-        a, b = path.vertices[i], path.vertices[i + 1]
-        locs.add((i, Fraction(0)))
-        locs.add((i, Fraction(1)))
+    cuts = set()
+    for i, (a, b) in enumerate(zip(path.vertices, path.vertices[1:])):
         for s in surface.pieces:
-            for kind, lo, hi in _segment_simplex_events(a, b, s):
-                locs.add((i, lo))
-                locs.add((i, hi))
-    # order: by (segment, s); merge duplicates at segment joints
-    ordered = sorted(locs)
-    merged = []
-    for seg, s in ordered:
-        if s == 1 and (seg + 1, Fraction(0)) in locs:
-            continue  # same point as start of next segment
-        merged.append((seg, s))
-    return merged
+            for _kind, lo, hi in _segment_simplex_events(a, b, s):
+                cuts.add((i, lo))
+                cuts.add((i, hi))
+    return _ordered_cuts(cuts, len(path.vertices) - 1)
 
 
 def decompose_minimal(path: PolyPath, surface: OrientedSurface) -> Decomposition:
@@ -852,53 +852,28 @@ def decompose_minimal(path: PolyPath, surface: OrientedSurface) -> Decomposition
     if path.dim != surface.dim:
         raise GeometryError("ambient dimension mismatch")
     locs = _cut_locations(path, surface)
-    # classify open intervals between consecutive cuts by probing midpoints
-    statuses = []
-    for (i0, s0), (i1, s1) in zip(locs, locs[1:]):
-        if i0 == i1:
-            mid = [(i0, (s0 + s1) / 2)]
-        else:
-            mid = [(i0, (s0 + 1) / 2)] + [(j, Fraction(1, 2)) for j in range(i0 + 1, i1)]
-            if s1 > 0:
-                mid.append((i1, s1 / 2))
-        inside = None
-        for seg, s in mid:
-            p = _lerp(path.vertices[seg], path.vertices[seg + 1], s)
-            val = surface.contains(p)
-            if inside is None:
-                inside = val
-            elif inside != val:
-                # membership changed inside an "atomic" interval: the cut
-                # enumeration missed an event; cannot happen with exact events
-                raise PrecisionError("membership changed between detected events")
-        statuses.append("internal" if inside else "external")
-    # merge: drop cut j when both sides share status and the cut point's
-    # membership matches it
-    keep = [locs[0]]
-    keep_status = []
-    cur_status = statuses[0]
-    for idx in range(1, len(locs) - 1):
-        seg, s = locs[idx]
-        p = _lerp(path.vertices[seg], path.vertices[seg + 1], s)
-        inside = surface.contains(p)
-        nxt_status = statuses[idx]
-        same = nxt_status == cur_status
-        matches = (inside and cur_status == "internal") or (
-            not inside and cur_status == "external"
-        )
-        if same and matches:
-            continue
-        keep.append(locs[idx])
-        keep_status.append(cur_status)
-        cur_status = nxt_status
-    keep.append(locs[-1])
-    keep_status.append(cur_status)
+    v = path.vertices
+
+    def member(seg, s):
+        return surface.contains(_lerp(v[seg], v[seg + 1], s))
+
+    # every segment start is a cut, so no open interval between consecutive
+    # cuts crosses a vertex: one midpoint decides its membership
+    inside = [member(i0, (s0 + (s1 if i1 == i0 else 1)) / 2)
+              for (i0, s0), (i1, s1) in zip(locs, locs[1:])]
+    # cut k stays unless interval k - 1, cut k and interval k all have the
+    # same membership; a piece takes the status of its first interval
+    keep = [0]
+    for k in range(1, len(locs) - 1):
+        if not inside[k - 1] == inside[k] == member(*locs[k]):
+            keep.append(k)
+    keep.append(len(locs) - 1)
     pieces = []
-    for idx in range(len(keep) - 1):
-        sub = path.subpath_exact(keep[idx], keep[idx + 1])
-        t0 = path.param_of(*keep[idx])
-        t1 = path.param_of(*keep[idx + 1])
-        pieces.append(DecompositionPiece(sub, keep_status[idx], t0, t1))
+    for a, b in zip(keep, keep[1:]):
+        sub = path.subpath_exact(locs[a], locs[b])
+        status = "internal" if inside[a] else "external"
+        pieces.append(DecompositionPiece(sub, status, path.param_of(*locs[a]),
+                                         path.param_of(*locs[b])))
     return Decomposition(parent=path, pieces=tuple(pieces))
 
 
@@ -974,36 +949,25 @@ def punctures(path: PolyPath, surface: OrientedSurface):
 
 
 def _punctures_of(dec: Decomposition, surface: OrientedSurface):
-    """punctures() of a path, from its minimal decomposition."""
+    """punctures() of a path, from its minimal decomposition: at each end
+    and joint, the incoming sign of the piece before it and the outgoing
+    sign of the piece after it."""
+    paths = [p.path for p in dec.pieces]
+    params = [0.0] + [p.t0 for p in dec.pieces[1:]] + [1.0]
     out = []
-    pieces = dec.pieces
-    for i in range(len(pieces) + 1):
-        if i == 0:
-            pt = pieces[0].path.start
-            t = 0.0
-            s_in = 0
-            s_out = sigma_eval(surface, pieces[0].path, "outgoing")
-        elif i == len(pieces):
-            pt = pieces[-1].path.end
-            t = 1.0
-            s_in = sigma_eval(surface, pieces[-1].path, "incoming")
-            s_out = 0
-        else:
-            pt = pieces[i].path.start
-            t = pieces[i].t0
-            s_in = sigma_eval(surface, pieces[i - 1].path, "incoming")
-            s_out = sigma_eval(surface, pieces[i].path, "outgoing")
-        if s_in == 0 and s_out == 0:
-            continue
-        out.append(
-            Puncture(
-                param=t,
-                point=pt,
-                sign_in=s_in,
-                sign_out=s_out,
-                is_puncture=s_in * s_out > 0,
+    for before, after, t in zip([None] + paths, paths + [None], params):
+        s_in = 0 if before is None else sigma_eval(surface, before, "incoming")
+        s_out = 0 if after is None else sigma_eval(surface, after, "outgoing")
+        if s_in or s_out:
+            out.append(
+                Puncture(
+                    param=t,
+                    point=before.end if after is None else after.start,
+                    sign_in=s_in,
+                    sign_out=s_out,
+                    is_puncture=s_in * s_out > 0,
+                )
             )
-        )
     return out
 
 
@@ -1120,9 +1084,9 @@ def build_graph(paths: Sequence[PolyPath]):
     """Split paths at mutual intersections so edges meet only at endpoints.
 
     Returns (graph, words): for each input path, its expression as a sequence
-    of (edge_id, +1/-1) over the produced graph.  Each path is cut at every
-    point and overlap end it shares with another path, and equal sub-edges,
-    either way round, become one edge.
+    of (edge_id, +1/-1) over the produced graph.  Each path is cut at each of
+    its own vertices and at every point and overlap end it shares with
+    another path, and equal sub-edges, either way round, become one edge.
 
     The graph is correct by construction, so it is built without the
     pairwise check of ``Graph(...)``: that its edges meet only at endpoints
@@ -1131,10 +1095,6 @@ def build_graph(paths: Sequence[PolyPath]):
     """
     paths = list(paths)
     cuts = [set() for _ in paths]  # exact (segment, s) per path
-    for i, p in enumerate(paths):
-        for seg in range(len(p.vertices) - 1):
-            cuts[i].add((seg, Fraction(0)))
-            cuts[i].add((seg, Fraction(1)))
     segs = [_segments(p) for p in paths]
     for i in range(len(paths)):
         for j in range(i + 1, len(paths)):
@@ -1159,14 +1119,9 @@ def build_graph(paths: Sequence[PolyPath]):
     index = {}
     words = []
     for i, p in enumerate(paths):
-        ordered = sorted(cuts[i])
-        merged = []
-        for seg, s in ordered:
-            if s == 1 and (seg + 1, Fraction(0)) in cuts[i]:
-                continue
-            merged.append((seg, s))
+        ordered = _ordered_cuts(cuts[i], len(p.vertices) - 1)
         word = []
-        for loc0, loc1 in zip(merged, merged[1:]):
+        for loc0, loc1 in zip(ordered, ordered[1:]):
             sub = p.subpath_exact(loc0, loc1)
             found = index.get(sub.vertices)
             if found is None:

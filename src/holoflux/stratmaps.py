@@ -231,6 +231,84 @@ def _segment_roots(g: Callable, starts: np.ndarray, ends: np.ndarray, grid: int 
     return roots
 
 
+def _through(x, maps):
+    """x mapped forward by each of maps in turn."""
+    for m in maps:
+        x = m.forward(x)
+    return x
+
+
+@dataclass
+class _Composite(StratMap):
+    """A composition that keeps its factors: they give its pieces, its break
+    parameters and its inverse."""
+
+    factors: tuple = ()
+
+    def pieces_at(self, x) -> list:
+        # every value of factor k's pieces_at at x pushed through the
+        # earlier factors, each pushed on through the later factors
+        x = np.asarray(x, dtype=float)
+        out = [(_everywhere(x), _through(x, self.factors))]
+        z = x
+        for k, m in enumerate(self.factors):
+            entries = m.pieces_at(z)
+            pushed = _through(np.concatenate([vals[mask] for mask, vals in entries]),
+                              self.factors[k + 1:])
+            at = 0
+            for mask, _ in entries:
+                vals = np.full_like(x, np.nan)
+                count = np.count_nonzero(mask)
+                vals[mask] = pushed[at:at + count]
+                at += count
+                out.append((mask, vals))
+            z = m.forward(z)
+        return out
+
+    def path_break_params(self, a, b):
+        # Each factor acts affinely between its own breaks, so its breaks
+        # split every segment, whose image pieces the next factor splits in
+        # turn.  A segment carries the parameter windows (s0, s1) that led
+        # to it, outermost first; a break u on it lies at s0 + u (s1 - s0)
+        # of each window, innermost first.
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        starts, ends = a.reshape(-1, self.dim), b.reshape(-1, self.dim)
+        segs = [(i, ()) for i in range(len(starts))]
+        found = [set() for _ in starts]
+        for k, m in enumerate(self.factors):
+            svals = [sorted(set(u) | {0.0, 1.0})
+                     for u in m.path_break_params(starts, ends)]
+            for (i, windows), ss in zip(segs, svals):
+                for s in ss[1:-1]:
+                    for s0, s1 in reversed(windows):
+                        s = s0 + s * (s1 - s0)
+                    found[i].add(s)
+            if k + 1 == len(self.factors):
+                break
+            # all points of every split segment through this factor at once
+            pts = m.forward(np.concatenate(
+                [p + np.asarray(ss)[:, None] * (q - p)
+                 for p, q, ss in zip(starts, ends, svals)]))
+            nxt, nxt_starts, nxt_ends, at = [], [], [], 0
+            for (i, windows), ss in zip(segs, svals):
+                for j, (s0, s1) in enumerate(zip(ss, ss[1:])):
+                    nxt.append((i, windows + ((s0, s1),)))
+                    nxt_starts.append(pts[at + j])
+                    nxt_ends.append(pts[at + j + 1])
+                at += len(ss)
+            segs, starts, ends = nxt, np.array(nxt_starts), np.array(nxt_ends)
+        out = [sorted(f) for f in found]
+        return out if a.ndim > 1 else out[0]
+
+    def inverted(self) -> "StratMap":
+        """The composite of the inverted factors in reverse order."""
+        inv = compose(*[m.inverted() for m in reversed(self.factors)])
+        inv.family = f"inverse({self.family})"
+        inv.params = self.params
+        return inv
+
+
 def compose(*maps: StratMap) -> StratMap:
     """Composition (left-to-right application order: maps[0] first)."""
     if not maps:
@@ -239,10 +317,8 @@ def compose(*maps: StratMap) -> StratMap:
     if any(m.dim != dim for m in maps):
         raise StratMapError("dimension mismatch in composition")
 
-    def fwd(x, factors=maps):
-        for m in factors:
-            x = m.forward(x)
-        return x
+    def fwd(x):
+        return _through(x, maps)
 
     def inv(y):
         for m in reversed(maps):
@@ -271,62 +347,7 @@ def compose(*maps: StratMap) -> StratMap:
             pts.extend(q)
         return pts
 
-    def pieces_at(x):
-        # every value of factor k's pieces_at at x pushed through the
-        # earlier factors, each pushed on through the later factors
-        x = np.asarray(x, dtype=float)
-        out = [(_everywhere(x), fwd(x))]
-        z = x
-        for k, m in enumerate(maps):
-            entries = m.pieces_at(z)
-            pushed = fwd(np.concatenate([vals[mask] for mask, vals in entries]), maps[k + 1:])
-            at = 0
-            for mask, _ in entries:
-                vals = np.full_like(x, np.nan)
-                count = np.count_nonzero(mask)
-                vals[mask] = pushed[at:at + count]
-                at += count
-                out.append((mask, vals))
-            z = m.forward(z)
-        return out
-
-    def break_params(a, b):
-        # Each factor acts affinely between its own breaks, so its breaks
-        # split every segment, whose image pieces the next factor splits in
-        # turn.  A segment carries the parameter windows (s0, s1) that led
-        # to it, outermost first; a break u on it lies at s0 + u (s1 - s0)
-        # of each window, innermost first.
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        starts, ends = a.reshape(-1, dim), b.reshape(-1, dim)
-        segs = [(i, ()) for i in range(len(starts))]
-        found = [set() for _ in starts]
-        for k, m in enumerate(maps):
-            svals = [sorted(set(u) | {0.0, 1.0})
-                     for u in m.path_break_params(starts, ends)]
-            for (i, windows), ss in zip(segs, svals):
-                for s in ss[1:-1]:
-                    for s0, s1 in reversed(windows):
-                        s = s0 + s * (s1 - s0)
-                    found[i].add(s)
-            if k + 1 == len(maps):
-                break
-            # all points of every split segment through this factor at once
-            pts = m.forward(np.concatenate(
-                [p + np.asarray(ss)[:, None] * (q - p)
-                 for p, q, ss in zip(starts, ends, svals)]))
-            nxt, nxt_starts, nxt_ends, at = [], [], [], 0
-            for (i, windows), ss in zip(segs, svals):
-                for j, (s0, s1) in enumerate(zip(ss, ss[1:])):
-                    nxt.append((i, windows + ((s0, s1),)))
-                    nxt_starts.append(pts[at + j])
-                    nxt_ends.append(pts[at + j + 1])
-                at += len(ss)
-            segs, starts, ends = nxt, np.array(nxt_starts), np.array(nxt_ends)
-        out = [sorted(f) for f in found]
-        return out if a.ndim > 1 else out[0]
-
-    composite = StratMap(
+    return _Composite(
         dim=dim,
         pieces=[Piece("composite", _everywhere, fwd)],
         inv_pieces=[Piece("composite-inverse", _everywhere, inv)],
@@ -335,10 +356,8 @@ def compose(*maps: StratMap) -> StratMap:
         boundary_sampler=boundary_sampler,
         family="compose(" + ",".join(m.family for m in maps) + ")",
         params={"factors": [m.family for m in maps]},
+        factors=maps,
     )
-    composite.path_break_params = break_params  # type: ignore[method-assign]
-    composite.pieces_at = pieces_at  # type: ignore[method-assign]
-    return composite
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from .geometry import (
     OrientedSurface,
     PolyPath,
     Simplex,
+    _lerp,
+    _segment_simplex_events,
     decompose_minimal,
     sigma_eval,
 )
@@ -79,11 +81,6 @@ class Check:
             "bound": None if math.isinf(self.bound) else self.bound,
             "pass": self.passed,
         }
-
-
-def _line_graph(n_edges: int, dim: int = 3) -> Graph:
-    pts = [tuple([i] + [0] * (dim - 1)) for i in range(n_edges + 1)]
-    return Graph.from_paths([PolyPath([pts[i], pts[i + 1]]) for i in range(n_edges)])
 
 
 def _plane_surface(x0=0):
@@ -169,7 +166,7 @@ def suite_gsn_orthonormality(params: dict, rng) -> list:
     n_edges = int(params.get("edges", 3))
     mc_samples = int(params.get("mc_samples", 10**5))
     subset = int(params.get("mc_subset", 48))
-    graph = _line_graph(n_edges)
+    graph = estimates.chain_graph(n_edges)
     edge_ids = sorted(graph.edges)
     opts = _gsn_factor_options()
     n_opts = len(opts)
@@ -515,8 +512,6 @@ def suite_decomposition(params: dict, rng) -> list:
         if not chain.same_geometry(gamma):
             worst_refine = 1.0
         # breakpoint count against the direct segment-solve oracle
-        from .geometry import _lerp, _segment_simplex_events
-
         events = set()
         for i, (a, b) in enumerate(zip(gamma.vertices, gamma.vertices[1:])):
             for piece in surface.pieces:

@@ -32,10 +32,12 @@ from holoflux.connections import edge_status
 from holoflux.estimates import insert_left_matrix
 from holoflux.geometry import (
     AffineMap,
+    GeometryError,
     Graph,
     OrientedSurface,
     PolyPath,
     Simplex,
+    _strictly_between,
     build_graph,
     decompose_minimal,
     sigma_eval,
@@ -352,6 +354,116 @@ def test_gamma_based_closed_rotation():
     assert gamma_based(t, gamma, parse_irrep(HALF))
     t_bad = gsn(g, "su2", {"e0": (HALF, 0, 1), "e1": (HALF, 1, 1)})  # wrap clash
     assert not gamma_based(t_bad, gamma, parse_irrep(HALF))
+
+
+def gamma_based_reference(t, gamma, rho):
+    """gamma_based as a search over every ordering of the edges."""
+    fac = dict(next(iter(t.terms)))
+    if set(fac) != set(t.graph.edges):
+        return False
+    if any(f[0] != rho.key() for f in fac.values()):
+        return False
+
+    def cycle_segments(path):
+        verts = list(path.vertices[:-1])
+        n = len(verts)
+        keep = []
+        for i in range(n):
+            a, b, c = verts[(i - 1) % n], verts[i], verts[(i + 1) % n]
+            if not _strictly_between(a, b, c):
+                keep.append(b)
+        return set(zip(keep, keep[1:] + keep[:1]))
+
+    for perm in itertools.permutations(list(t.graph.edges)):
+        chain = None
+        ok = True
+        for eid in perm:
+            p = t.graph.edges[eid]
+            if chain is None:
+                chain = p
+            elif chain.end != p.start:
+                ok = False
+                break
+            else:
+                chain = PolyPath(chain.vertices + p.vertices[1:], validate=False)
+        if not ok:
+            continue
+        same = chain.same_geometry(gamma)
+        rotated = (
+            not same
+            and gamma.is_closed
+            and chain.is_closed
+            and cycle_segments(chain) == cycle_segments(gamma)
+        )
+        if not (same or rotated):
+            continue
+        if any(fac[a][2] != fac[b][1] for a, b in zip(perm, perm[1:])):
+            continue
+        if gamma.is_closed and fac[perm[-1]][2] != fac[perm[0]][1]:
+            continue
+        return True
+    return False
+
+
+@st.composite
+def based_candidates(draw):
+    """(state, gamma, rho): a path or loop cut into 1-5 edges listed in any
+    order, sometimes with one edge reversed, a clashing index, one factor in
+    another irrep, rho another irrep, or gamma replaced by another path."""
+    if draw(st.booleans()):
+        verts = [(0, 0), (2, 0), (2, 2), (0, 2)]
+        verts = verts[:draw(st.integers(3, 4))]
+        if draw(st.booleans()):
+            verts.insert(1, (1, 0))  # a collinear base point to merge
+        verts.append(verts[0])
+    else:
+        verts = [(0, 0)]
+        for _ in range(draw(st.integers(1, 4))):
+            x, y = verts[-1]
+            verts.append(draw(st.sampled_from([(x + 1, y), (x, y + 1), (x + 1, y + 1)])))
+    base = PolyPath(verts)
+    if base.is_closed:  # the chain may run round the loop from another corner
+        r = draw(st.integers(0, len(base.vertices) - 2))
+        v = base.vertices[:-1]
+        base = PolyPath(v[r:] + v[:r] + v[r:r + 1])
+    nseg = len(base.vertices) - 1
+    locs = draw(st.sets(st.tuples(st.integers(0, nseg - 1), st.sampled_from([0, 1, 2, 3])),
+                        max_size=4))
+    cuts = sorted({(0, Fraction(0)), (nseg - 1, Fraction(1))}
+                  | {(seg, Fraction(q, 4)) for seg, q in locs if (seg, q) != (0, 0)})
+    edges = [base.subpath_exact(a, b) for a, b in zip(cuts, cuts[1:])]
+    if draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(edges) - 1))
+        edges[k] = edges[k].reversed()
+    order = draw(st.permutations(range(len(edges))))
+    graph = Graph({f"e{i}": edges[i] for i in order}, validate=False)
+    # indices at the joints match along the chain (and round a loop) unless
+    # one is redrawn
+    joints = [draw(st.integers(0, 1)) for _ in edges]
+    joints.append(joints[0] if base.is_closed else draw(st.integers(0, 1)))
+    labels = {f"e{i}": [HALF, joints[i], joints[i + 1]] for i in range(len(edges))}
+    if draw(st.integers(0, 2)) == 0:
+        lab = labels[draw(st.sampled_from(sorted(labels)))]
+        lab[draw(st.integers(1, 2))] = draw(st.integers(0, 1))
+    if draw(st.integers(0, 3)) == 0:
+        labels[draw(st.sampled_from(sorted(labels)))][0] = ONE
+    labels = {eid: tuple(lab) for eid, lab in labels.items()}
+    gamma = PolyPath(verts)
+    if draw(st.integers(0, 2)) == 0:  # another path: shortened, or closed early
+        early = verts[:-1] + verts[:1]
+        try:
+            gamma = PolyPath(draw(st.sampled_from([verts[:-1], early, early])))
+        except GeometryError:
+            gamma = PolyPath([verts[0], (5, 5)])
+    rho = parse_irrep(draw(st.sampled_from([HALF, HALF, HALF, ONE])))
+    return gsn(graph, "su2", labels), gamma, rho
+
+
+@settings(max_examples=400, deadline=None)
+@given(based_candidates())
+def test_gamma_based_matches_search_over_orderings(case):
+    t, gamma, rho = case
+    assert gamma_based(t, gamma, rho) == gamma_based_reference(t, gamma, rho)
 
 
 def test_norm_of_sum():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holoflux import stratmaps
+from holoflux.geometry import PolyPath, map_path, pt_float
 from holoflux.stratmaps import (
     EuclideanGauge,
     Piece,
@@ -723,3 +724,48 @@ def test_winding_breaks_match_scalar_scan(crossings, monkeypatch):
             assert len(want) >= 2 * crossings
             assert got == want
             assert m.path_break_params(a, b) == want
+
+
+@pytest.mark.parametrize("name", ["winding_j2", "composite"])
+def test_inverted_composite_is_the_reverse_composite_of_inverted_factors(name, monkeypatch):
+    if name == "winding_j2":
+        composed = []
+        real_compose = stratmaps.compose
+        monkeypatch.setattr(stratmaps, "compose",
+                            lambda *maps: composed.append(maps) or real_compose(*maps))
+        m = winding_map([1.0, 2.0], [0, 0], [0.25], 0.3, 0.6)
+        factors = composed[-1]
+        # the segments of the axis's image polyline
+        image = map_path(m, PolyPath([(-0.5, 0, 0), (3.5, 0, 0)]))
+        verts = np.array([pt_float(v) for v in image.vertices])
+        starts, ends = verts[:-1], verts[1:]
+    else:
+        factors = (rotation_map(so_generator(3, 0.7), 2.0, 1.0),
+                   scaling_map(EuclideanGauge(3), 1.5, 0.2))
+        m = compose(*factors)
+        starts = np.array([[-2.5, 0.3, 0.1], [0.0, -2.5, 0.2]])
+        ends = np.array([[2.5, -0.2, 0.4], [0.1, 2.5, -0.3]])
+    inv = m.inverted()
+    ref = compose(*[f.inverted() for f in reversed(factors)])
+    rng = np.random.default_rng(5)
+    lo, hi = m.bbox
+    pts = lo - 0.25 * (hi - lo) + rng.uniform(size=(500, m.dim)) * 1.5 * (hi - lo)
+    # values stay those of the forward map's inverse, bit for bit
+    assert np.array_equal(inv.forward(pts), m.inverse(pts))
+    assert np.array_equal(inv.inverse(pts), m.forward(pts))
+    assert np.array_equal(inv.forward(pts), ref.forward(pts))
+    assert np.array_equal(inv.in_support(pts), ref.in_support(pts))
+    got = inv.path_break_params(starts, ends)
+    assert got == ref.path_break_params(starts, ends)
+    assert sum(map(len, got)) > 0
+    # the certificate's boundary comparison sees every factor's pieces
+    edge = np.asarray(inv.boundary_sampler(np.random.default_rng(6), 64), dtype=float)
+    entries = inv.pieces_at(edge)
+    want = ref.pieces_at(edge)
+    assert len(entries) == len(want)
+    for (mask, vals), (want_mask, want_vals) in zip(entries, want):
+        assert np.array_equal(mask, want_mask)
+        assert np.array_equal(vals, want_vals, equal_nan=True)
+    assert sum(1 for mask, _ in entries if mask.any()) > 2
+    rep = verify_stratified(inv, 400, np.random.default_rng(7))
+    assert rep == verify_stratified(ref, 400, np.random.default_rng(7))
