@@ -48,13 +48,25 @@ class SuiteConfig:
             raise UsageError(f"config not found: {path}")
         except json.JSONDecodeError as exc:
             raise UsageError(f"config is not valid JSON: {exc}")
+        if not isinstance(obj, dict):
+            raise UsageError("config must be a JSON object")
         if obj.get("schema", SCHEMA) != SCHEMA:
             raise UsageError("unsupported config schema")
+        for key in ("suite", "scene", "out"):
+            if not isinstance(obj.get(key), (str, type(None))):
+                raise UsageError(f"config {key} must be a string or null")
+        try:
+            seed = int(obj.get("seed", 0))
+        except (TypeError, ValueError):
+            raise UsageError(f"config seed must be an integer, not {obj['seed']!r}")
+        params = obj.get("params", {}) or {}
+        if not isinstance(params, dict):
+            raise UsageError("config params must be a JSON object")
         return cls(
             suite=obj.get("suite"),
-            seed=int(obj.get("seed", 0)),
+            seed=seed,
             scene=obj.get("scene"),
-            params=obj.get("params", {}) or {},
+            params=params,
             out=obj.get("out"),
         )
 

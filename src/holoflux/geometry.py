@@ -2,13 +2,14 @@
 
 Everything geometric is exact: input coordinates, points passed to the
 membership tests included, are read as exact rationals (floats convert
-exactly, being binary rationals).  A codimension-1 simplex stores its
-hyperplane and barycentric coordinates as integer rows, so membership,
-segment/simplex events and side tests on it are decided by the signs of
-integer dot products with the homogeneous integer point (P, d), x = P / d.
-Everything else (simplices of codimension >= 2, segment pairs, affine maps)
-goes through one fraction-free integer elimination (``_eliminate``).
-Fractions are built only for the values returned.  Parameters reported to
+exactly, being binary rationals).  A simplex of any dimension q < k stores
+integer rows from one elimination of its vertices: k - q hull rows, which
+vanish together exactly on its affine hull, and q + 1 barycentric rows.  So
+membership, segment/simplex events and side tests on it are decided by the
+signs of integer dot products with the homogeneous integer point (P, d),
+x = P / d, in every codimension.  Segment pairs and affine maps go through
+the same fraction-free integer elimination (``_eliminate``).  Fractions are
+built only for the values returned.  Parameters reported to
 callers are arclength-proportional floats; the underlying split *points*
 remain exact.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -58,8 +60,7 @@ class GeometryError(ValueError):
 
 class PrecisionError(RuntimeError):
     """Raised by ``map_path`` when a stratified map is not affine along a
-    pre-split segment, and by the degenerate-kernel guard of
-    ``_segment_flat_events``, which exact arithmetic never reaches."""
+    pre-split segment."""
 
 
 def as_point(coords: Sequence) -> Point:
@@ -119,7 +120,7 @@ def _integer_points(*pts) -> tuple:
 def _affine(row: tuple, P: list, d: int) -> int:
     """row . (P, d): an integer affine function, with the constant term last,
     evaluated at x = P / d and scaled by d."""
-    return sum(r * x for r, x in zip(row, P)) + row[-1] * d
+    return sum(map(mul, row, P)) + row[-1] * d
 
 
 def _parallel(u: Point, v: Point) -> bool:
@@ -227,12 +228,6 @@ def _solve_integer_rows(a: list, n: int):
             vec[col] = Fraction(-r[fc], r[col])
         basis.append(vec)
     return ("underdetermined", (x, basis))
-
-
-def rank_exact(rows: list) -> int:
-    if not rows:
-        return 0
-    return len(_eliminate(_integer_rows(rows), len(rows[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +409,17 @@ class Simplex:
     ``closed_facets[i]`` says whether the facet with barycentric coordinate
     lambda_i = 0 belongs to the point set.  Codimension-1 simplices carry an
     orientation through ``normal`` (stored exactly; unit within 1e-12), which
-    orients the exact integer hyperplane of their vertices.
+    orients the exact integer hyperplane of their vertices, ``plane``.
     """
 
     vertices: tuple
     closed_facets: tuple = None
     normal: tuple = None
-    # the k x q matrix whose columns are the spanning vectors v_j - v_0, by rows
-    span: tuple = field(init=False, repr=False, compare=False)
-    # codimension 1 only, else None (see _hyperplane_rows): the integer
-    # hyperplane row, oriented so that n . normal > 0 when a normal is given,
-    # and the barycentric rows (l_i, w_i)
-    plane: tuple = field(init=False, repr=False, compare=False)
+    # integer rows acting on (P, d), x = P / d (see _hyperplane_rows): the
+    # k - q hull rows and the barycentric rows (l_i, w_i).  The one hull row
+    # of a codimension-1 simplex is oriented so that n . normal > 0 when a
+    # normal is given.
+    hull_rows: tuple = field(init=False, repr=False, compare=False)
     bary_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -435,12 +429,10 @@ class Simplex:
         q = len(verts) - 1
         if q < 0 or q >= k:
             raise GeometryError("simplex dimension must satisfy 0 <= q < k")
-        span = tuple(zip(*(_sub(v, verts[0]) for v in verts[1:]))) or ((),) * k
-        rows = _hyperplane_rows(verts) if q == k - 1 else None
-        if rows is None and (q == k - 1 or rank_exact(span) != q):
+        rows = _hyperplane_rows(verts)
+        if rows is None:
             raise GeometryError("simplex vertices are affinely dependent")
-        object.__setattr__(self, "span", span)
-        plane, bary_rows = rows or (None, None)
+        hull_rows, bary_rows = rows
         cf = self.closed_facets
         if cf is None:
             cf = tuple(True for _ in verts)
@@ -450,7 +442,7 @@ class Simplex:
                 raise GeometryError("need one openness flag per facet")
         object.__setattr__(self, "closed_facets", cf)
         if self.normal is not None:
-            if plane is None:
+            if q != k - 1:
                 raise GeometryError("only codimension-1 simplices carry a normal")
             nrm = as_point(self.normal)
             if len(nrm) != k:
@@ -464,14 +456,19 @@ class Simplex:
                 d = pt_float(_sub(v, verts[0]))
                 if abs(float(np.dot(nf, d))) > 1e-9 * max(1.0, np.linalg.norm(d)):
                     raise GeometryError("normal is not orthogonal to the simplex")
-            side = _dot(plane, nrm)
+            side = _dot(hull_rows[0], nrm)
             if side == 0:
                 raise GeometryError("normal lies in the simplex's hyperplane")
             if side < 0:
-                plane = tuple(-c for c in plane)
+                hull_rows = (tuple(-c for c in hull_rows[0]),)
             object.__setattr__(self, "normal", nrm)
-        object.__setattr__(self, "plane", plane)
+        object.__setattr__(self, "hull_rows", hull_rows)
         object.__setattr__(self, "bary_rows", bary_rows)
+
+    @property
+    def plane(self) -> tuple:
+        """Codimension 1: the oriented hyperplane row (n, -c), n . x = c."""
+        return self.hull_rows[0]
 
     @property
     def dim(self) -> int:
@@ -482,36 +479,25 @@ class Simplex:
         return len(self.vertices[0])
 
     def _numerators(self, P: list, d: int):
-        """Codimension 1: u with lambda_i(x) = u_i / (w_i d) at x = P / d, or
-        None if x is off the hyperplane."""
-        if _affine(self.plane, P, d):
-            return None
+        """u with lambda_i(x) = u_i / (w_i d) at x = P / d, or None if x is
+        off the affine hull."""
+        for h in self.hull_rows:
+            if _affine(h, P, d):
+                return None
         return [_affine(l, P, d) for l, _ in self.bary_rows]
 
     def barycentric(self, p: Sequence):
         """Exact barycentric coordinates, or None if p is off the affine hull.
         The coordinates of p convert exactly (floats included)."""
-        if self.plane is not None:
-            (P,), d = _integer_points(p)
-            u = self._numerators(P, d)
-            if u is None:
-                return None
-            return [Fraction(ui, w * d) for ui, (_, w) in zip(u, self.bary_rows)]
-        p = _exact(p)
-        v0 = self.vertices[0]
-        if self.dim == 0:
-            return [Fraction(1)] if p == v0 else None
-        kind, sol = solve_exact(self.span, _sub(p, v0))
-        if kind != "unique":
-            return None  # spanning vectors independent: only 'none' possible here
-        lam = [Fraction(1) - sum(sol)] + list(sol)
-        return lam
+        (P,), d = _integer_points(p)
+        u = self._numerators(P, d)
+        if u is None:
+            return None
+        return [Fraction(ui, w * d) for ui, (_, w) in zip(u, self.bary_rows)]
 
     def contains(self, p: Sequence) -> bool:
-        if self.plane is not None:
-            (P,), d = _integer_points(p)
-            return self._admits(self._numerators(P, d))  # signs of lambda_i
-        return self._admits(self.barycentric(p))
+        (P,), d = _integer_points(p)
+        return self._admits(self._numerators(P, d))  # signs of lambda_i
 
     def _admits(self, lam) -> bool:
         """Whether barycentric coordinates, or numbers with their signs, place
@@ -527,32 +513,37 @@ class Simplex:
 
 
 def _hyperplane_rows(verts: tuple):
-    """Integer rows of a codimension-1 simplex acting on (P, d), x = P / d.
+    """Integer rows of a q-simplex in R^k acting on (P, d), x = P / d.
 
-    Returns (plane, bary_rows), or None if the vertices are affinely
-    dependent.  ``_affine(plane, P, d) = 0`` exactly on the hyperplane
-    n . x = c through the vertices (plane = (n, -c), gcd 1), and there
+    Returns (hull_rows, bary_rows), or None if the vertices are affinely
+    dependent.  With V_i / D the q + 1 vertices, Gauss-Jordan elimination of
+    [M | I] for the system M lambda = (D x, 1), whose k + 1 by q + 1 matrix
+    M has the columns (V_i, 1), turns I into E with E M = diag(w) over the
+    first q + 1 rows and E M = 0 over the other k - q.  So
     lambda_i(x) = _affine(l_i, P, d) / (w_i d) with w_i > 0 for
-    (l_i, w_i) = bary_rows[i].  With V_i / D the vertices, Gauss-Jordan
-    elimination of [M | I] for the square system M lambda = (D x, 1),
-    columns (V_i, 1), turns I into E with E M = diag(w) over the first k
-    rows; the last row of E annihilates M, so it is the hyperplane.
+    (l_i, w_i) = bary_rows[i].  The other rows of E, each divided by its
+    gcd, are the hull rows: they are independent and annihilate M, so they
+    vanish together exactly where (D x, 1) is in M's column space, on the
+    affine hull.  In codimension 1 the one hull row is the hyperplane
+    n . x = c through the vertices, (n, -c).
     """
     V, D = _integer_points(*verts)
-    k = len(V)
+    k, n = len(V[0]), len(V)
     eye = [[int(i == j) for i in range(k + 1)] for j in range(k + 1)]
-    a = [[v[j] for v in V] + eye[j] for j in range(k)] + [[1] * k + eye[k]]
-    if len(_eliminate(a, k)) < k:
+    a = [[v[j] for v in V] + eye[j] for j in range(k)] + [[1] * n + eye[k]]
+    if len(_eliminate(a, n)) < n:
         return None
     # (D x, 1) = (D P, d) / d: scale the point columns of E by D
-    rows = [[D * c for c in r[k:-1]] + [r[-1]] for r in a]
-    plane = rows.pop()
-    g = math.gcd(*plane)
+    rows = [[D * c for c in r[n:-1]] + [r[-1]] for r in a]
     bary_rows = tuple(
         (tuple(c if r[i] > 0 else -c for c in row), abs(r[i]))
-        for i, (r, row) in enumerate(zip(a, rows))
+        for i, (r, row) in enumerate(zip(a, rows[:n]))
     )
-    return tuple(c // g for c in plane), bary_rows
+    hull_rows = []
+    for row in rows[n:]:
+        g = math.gcd(*row)
+        hull_rows.append(tuple(c // g for c in row))
+    return tuple(hull_rows), bary_rows
 
 
 class OrientedSurface:
@@ -599,13 +590,9 @@ class OrientedSurface:
                                piece_ids=self.piece_ids, validate=False)
 
     def find_piece(self, p: Point):
-        (P,), d = _integer_points(p)  # once for every codimension-1 piece
+        (P,), d = _integer_points(p)  # once for every piece
         for pid, s in zip(self.piece_ids, self.pieces):
-            if s.plane is None:
-                hit = s.contains(p)
-            else:
-                hit = s._admits(s._numerators(P, d))
-            if hit:
+            if s._admits(s._numerators(P, d)):
                 return pid, s
         return None, None
 
@@ -712,26 +699,32 @@ def _segment_simplex_events(a: Point, b: Point, s: Simplex):
     Returns events ('point', s*, s*) or ('interval', lo, hi); membership in
     the (possibly partially open) point set is decided by probing.
     """
-    if s.plane is None:
-        return _segment_flat_events(a, b, s)
-    # side values f and barycentric numerators u at a and b, all over the
+    # hull values f and barycentric numerators u at a and b, all over the
     # same positive scale; both are affine along the segment
     (A, B), d = _integer_points(a, b)
-    fa, fb = _affine(s.plane, A, d), _affine(s.plane, B, d)
-    if (fa > 0 and fb > 0) or (fa < 0 and fb < 0):
-        return []
+    fa = fb = 0  # the first hull row that changes along the segment
+    for h in s.hull_rows:
+        x, y = _affine(h, A, d), _affine(h, B, d)
+        if (x > 0 and y > 0) or (x < 0 and y < 0):
+            return []  # this row has no zero on the segment
+        if x != y:
+            if fa == fb:
+                fa, fb = x, y
+            elif x * fb != y * fa:
+                return []  # two rows vanish at different parameters
     ua = [_affine(l, A, d) for l, _ in s.bary_rows]
     ub = [_affine(l, B, d) for l, _ in s.bary_rows]
-    if fa or fb:
-        # one crossing at sp = fa / (fa - fb), where lambda_i has the sign of
-        # (fa ub_i - fb ua_i) / (fa - fb)
+    if fa != fb:
+        # the hull rows vanish together once, at sp = fa / (fa - fb), where
+        # lambda_i has the sign of (fa ub_i - fb ua_i) / (fa - fb)
         if fa < fb:
             fa, fb = -fa, -fb
-        if all(fa * y >= fb * x for x, y in zip(ua, ub)):
-            sp = Fraction(fa, fa - fb)
-            return [("point", sp, sp)]
-        return []
-    # in the hyperplane: lambda_i(sp) = (ua_i + sp (ub_i - ua_i)) / (w_i d)
+        for x, y in zip(ua, ub):
+            if fa * y < fb * x:
+                return []
+        sp = Fraction(fa, fa - fb)
+        return [("point", sp, sp)]
+    # in the hull: lambda_i(sp) = (ua_i + sp (ub_i - ua_i)) / (w_i d)
     lo, hi = Fraction(0), Fraction(1)
     for x, y in zip(ua, ub):
         lin = y - x
@@ -742,50 +735,6 @@ def _segment_simplex_events(a: Point, b: Point, s: Simplex):
             lo = max(lo, Fraction(-x, lin))
         else:
             hi = min(hi, Fraction(-x, lin))
-    if lo > hi:
-        return []
-    if lo == hi:
-        return [("point", lo, lo)]
-    return [("interval", lo, hi)]
-
-
-def _segment_flat_events(a: Point, b: Point, s: Simplex):
-    """_segment_simplex_events for simplices of codimension >= 2."""
-    q = s.dim
-    # unknowns: lambda_1..lambda_q, sparam ; equations: v0 + sum l_i (v_i - v0) = a + s u
-    rows = [(*r, -ui) for r, ui in zip(s.span, _sub(b, a))]
-    kind, sol = solve_exact(rows, _sub(a, s.vertices[0]))
-    if kind == "none":
-        return []
-    if kind == "unique":
-        lam = sol[:q]
-        sp = sol[q]
-        lam0 = Fraction(1) - sum(lam)
-        if 0 <= sp <= 1 and lam0 >= 0 and all(l >= 0 for l in lam):
-            return [("point", sp, sp)]
-        return []
-    part, basis = sol
-    if len(basis) != 1 or basis[0][q] == 0:
-        # cannot occur: simplex spanning vectors are independent, so the
-        # kernel is one-dimensional with a nonzero segment component
-        raise PrecisionError("degenerate segment/simplex configuration")
-    dirv = basis[0]
-    # one-parameter family parametrized by sp: lambda_i(sp) affine
-    r_per_sp = Fraction(1) / dirv[q]
-    lam_const = [part[i] - part[q] * dirv[i] * r_per_sp for i in range(q)]
-    lam_lin = [dirv[i] * r_per_sp for i in range(q)]
-    lam_const.append(Fraction(1) - sum(lam_const))
-    lam_lin.append(-sum(lam_lin))
-    lo, hi = Fraction(0), Fraction(1)
-    for cst, lin in zip(lam_const, lam_lin):
-        # constraint cst + lin*sp >= 0 on [lo, hi]
-        if lin == 0:
-            if cst < 0:
-                return []
-        elif lin > 0:
-            lo = max(lo, -cst / lin)
-        else:
-            hi = min(hi, -cst / lin)
     if lo > hi:
         return []
     if lo == hi:

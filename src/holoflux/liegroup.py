@@ -70,10 +70,6 @@ PAULI = (
 _SIDE = {"u1": 1, "su2": 2}
 
 
-def _unitarity_defect(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0])))
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """A unitary matrix tagged with its group ('u1' or 'su2')."""
@@ -84,18 +80,7 @@ class GroupElement:
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
-        if self.group == "u1":
-            if m.shape != (1, 1):
-                raise GroupValidationError("u1 elements are 1x1 matrices")
-        elif self.group == "su2":
-            if m.shape != (2, 2):
-                raise GroupValidationError("su2 elements are 2x2 matrices")
-            if not abs(np.linalg.det(m) - 1.0) <= ATOL_CONSTRUCT:
-                raise GroupValidationError("su2 element must have det 1")
-        else:
-            raise GroupValidationError(f"unknown group tag {self.group!r}")
-        if not _unitarity_defect(m) <= ATOL_CONSTRUCT:
-            raise GroupValidationError("matrix is not unitary within 1e-12")
+        _check_group_stack(self.group, m[None])
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if self.group != other.group:
@@ -127,8 +112,9 @@ class GroupElement:
 
 
 def _check_group_stack(group: str, mats: np.ndarray) -> None:
-    """GroupElement's checks on every row of an (N, d, d) stack at once: the
-    group tag, the shape, det 1 for SU(2) and unitarity within 1e-12."""
+    """The group checks on every row of an (N, d, d) stack at once: the
+    group tag, the shape, det 1 for SU(2) and unitarity within 1e-12.
+    ``GroupElement`` runs them on its one matrix, as a stack of one."""
     side = _SIDE.get(group)
     if side is None:
         raise GroupValidationError(f"unknown group tag {group!r}")

@@ -65,6 +65,25 @@ def test_cli_unknown_suite_exit_2(tmp_path, capsys):
     assert main(["--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"suite": "haar", "seed": "abc"}, "config seed must be an integer, not 'abc'"),
+    (["haar", 42], "config must be a JSON object"),
+    ({"suite": "haar", "params": [1]}, "config params must be a JSON object"),
+    ({"suite": ["haar"]}, "config suite must be a string or null"),
+    ({"suite": "haar", "scene": ["x"]}, "config scene must be a string or null"),
+    ({"suite": "haar", "out": 5}, "config out must be a string or null"),
+], ids=["seed-not-an-integer", "top-level-list", "params-a-list", "suite-a-list",
+        "scene-a-list", "out-a-number"])
+def test_cli_malformed_config_exit_2(tmp_path, capsys, config, message):
+    # exit 1 means a check failed; a config that cannot be read is a usage error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "r.json"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_failing_check_exit_1(monkeypatch, tmp_path):
     from holoflux import cli
     from holoflux.suites import Check
