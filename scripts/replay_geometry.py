@@ -20,8 +20,9 @@ the error it raised):
 
 It then loads NEW_SRC's ``holoflux/geometry.py`` by file path, which works
 because that module imports nothing from the package, rebuilds each call's
-paths and surfaces from their public fields in the loaded module, and makes
-the call again.
+paths, surfaces and affine maps from their public fields in the loaded
+module, and makes the call again.  Stratified maps (``map_path`` in
+``strat-certify``) are passed to the replayed call as they are.
 
 Inputs must rebuild to the recorded ones, compared on the fields a
 dataclass takes at construction; fields it derives (such as a simplex's
@@ -51,7 +52,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED = 42
 WORKLOADS = ("scene-fresh", "strat-certify", "weyl-ops")
 RECORDED = ("decompose_minimal", "punctures", "completely_transversal",
-            "sigma_eval", "build_graph", "_segment_simplex_events")
+            "sigma_eval", "build_graph", "_segment_simplex_events",
+            "_strictly_between", "_segment_segment", "map_path", "map_surface")
 R3_SCENES = 40
 
 
@@ -128,7 +130,7 @@ def r3_scenes(G, seed: int) -> None:
     while done < R3_SCENES:
         den = int(rng.choice([1, 2, 3]))
         a, u, w, p = vec(-3, 3, den), vec(-2, 2, den), vec(-2, 2, den), vec(-3, 3, den)
-        if not any(u) or G._parallel(u, w):
+        if not any(u) or parallel(u, w):
             continue
         b = add(a, u, 2)
         flags = tuple(bool(f) for f in rng.integers(2, size=2))
@@ -154,6 +156,13 @@ def r3_scenes(G, seed: int) -> None:
         done += 1
 
 
+def parallel(u, w) -> bool:
+    """Whether two exact vectors are parallel: every 2 by 2 minor of (u, w)
+    vanishes."""
+    return all(u[i] * w[j] == u[j] * w[i]
+               for i in range(len(u)) for j in range(i + 1, len(u)))
+
+
 def load_geometry(src: Path):
     path = src / "holoflux" / "geometry.py"
     spec = importlib.util.spec_from_file_location("replayed_geometry", path)
@@ -172,6 +181,8 @@ def rebuild(x, G):
         return G.PolyPath(x.vertices, validate=False)
     if name == "Simplex":
         return G.Simplex(x.vertices, closed_facets=x.closed_facets, normal=x.normal)
+    if name == "AffineMap":
+        return G.AffineMap(x.matrix, x.offset)
     if name == "OrientedSurface":
         pieces = [rebuild(s, G) for s in x.pieces]
         return G.OrientedSurface(pieces, rule=x.rule, inverted=x.inverted,
@@ -193,6 +204,10 @@ def plain(x, init_only=False):
         return name, plain(x.pieces, init_only), x.rule, x.inverted, x.piece_ids
     if name == "Graph":
         return name, plain(x.edges)
+    if name == "AffineMap":
+        return name, plain(x.matrix), plain(x.offset)
+    if hasattr(x, "forward"):
+        return name, id(x)  # a stratified map: replayed as the same object
     if dataclasses.is_dataclass(x):
         return name, tuple((f.name, plain(getattr(x, f.name), init_only))
                            for f in dataclasses.fields(x) if f.init or not init_only)

@@ -7,9 +7,11 @@ Usage:
 
 Config files are JSON objects {"schema": 1, "suite": ..., "seed": ...,
 "params": {...}, "out": path}; no suite reads a scene, so a non-null "scene"
-exits 2.  Command-line flags override config fields.  Exit codes: 0 all
-checks pass, 1 at least one check failed, 2 usage or I/O error.  Identical
-config and seed give byte-identical reports apart from the wallclock field.
+exits 2, and so do any other key, a param the suite does not read
+(``suites.PARAMS``) and a param value that does not convert.  Command-line
+flags override config fields.  Exit codes: 0 all checks pass, 1 at least one
+check failed, 2 usage or I/O error.  Identical config and seed give
+byte-identical reports apart from the wallclock field.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ import time
 from dataclasses import dataclass, field
 
 from .scene import SceneError, emit_scene_template
-from .suites import SUITES, run_checks
+from .suites import SUITES, run_checks, suite_params
 
 SCHEMA = 1
+CONFIG_KEYS = ("schema", "suite", "seed", "scene", "params", "out")
 
 
 class UsageError(Exception):
@@ -50,6 +53,10 @@ class SuiteConfig:
             raise UsageError(f"config is not valid JSON: {exc}")
         if not isinstance(obj, dict):
             raise UsageError("config must be a JSON object")
+        for key in obj:
+            if key not in CONFIG_KEYS:
+                raise UsageError(f"unknown config key {key!r}; "
+                                 f"the keys are {', '.join(CONFIG_KEYS)}")
         if obj.get("schema", SCHEMA) != SCHEMA:
             raise UsageError("unsupported config schema")
         for key in ("suite", "scene", "out"):
@@ -81,6 +88,10 @@ class SuiteConfig:
             if not os.path.exists(self.scene):
                 raise UsageError(f"scene not found: {self.scene}")
             raise UsageError(f"suite {self.suite!r} does not read a scene")
+        try:
+            suite_params(self.suite, self.params)
+        except ValueError as exc:
+            raise UsageError(str(exc))
 
 
 def run_suite(config: SuiteConfig):

@@ -17,6 +17,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .geometry import (
+    DomainError,
     Graph,
     OrientedSurface,
     PolyPath,
@@ -41,10 +42,6 @@ __all__ = [
     "quasi_flux",
     "edge_status",
 ]
-
-
-class DomainError(ValueError):
-    """Input outside the operation's domain (e.g. path not over the graph)."""
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,16 @@ vanish together exactly on its affine hull, and q + 1 barycentric rows.  So
 membership, segment/simplex events and side tests on it are decided by the
 signs of integer dot products with the homogeneous integer point (P, d),
 x = P / d, in every codimension.  Segment pairs and affine maps go through
-the same fraction-free integer elimination (``_eliminate``).  Fractions are
-built only for the values returned.  Parameters reported to
-callers are arclength-proportional floats; the underlying split *points*
-remain exact.
+the same fraction-free integer elimination (``_eliminate``), and collinearity
+of three points is decided on integer vectors too.  Fractions are built only
+for the values returned.  One box-pruned scan (``_meetings``) yields where
+segments meet, for path validation, graph validation and ``build_graph``.
+Parameters reported to callers are arclength-proportional floats; the
+underlying split *points* remain exact.
+
+Paths, surfaces and points move through an exact ``AffineMap`` or through a
+stratified map, whose float images are taken in one batch, checked to be
+affine at segment midpoints and converted exactly (``_stratified_images``).
 
 The central operation is ``decompose_minimal``: the unique coarsest splitting
 of an edge into pieces whose interiors lie inside the surface or avoid it.
@@ -23,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, product
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -63,6 +70,10 @@ class PrecisionError(RuntimeError):
     pre-split segment."""
 
 
+class DomainError(ValueError):
+    """Input outside the operation's domain (e.g. path not over the graph)."""
+
+
 def as_point(coords: Sequence) -> Point:
     """Exact coordinates: Fractions pass through, anything else converts
     (floats exactly, being binary rationals)."""
@@ -77,18 +88,6 @@ def _exact(coords: Sequence) -> Point:
 
 def pt_float(p: Point) -> np.ndarray:
     return np.array([float(c) for c in p], dtype=float)
-
-
-def _sub(p: Point, q: Point) -> Point:
-    return tuple(a - b for a, b in zip(p, q))
-
-
-def _scale(p: Point, s: Fraction) -> Point:
-    return tuple(s * a for a in p)
-
-
-def _dot(p: Point, q: Point) -> Fraction:
-    return sum(a * b for a, b in zip(p, q))
 
 
 def _lerp(a: Point, b: Point, s: Fraction) -> Point:
@@ -123,28 +122,18 @@ def _affine(row: tuple, P: list, d: int) -> int:
     return sum(map(mul, row, P)) + row[-1] * d
 
 
-def _parallel(u: Point, v: Point) -> bool:
-    k = len(u)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if u[i] * v[j] - u[j] * v[i] != 0:
-                return False
-    return True
-
-
 def _strictly_between(a: Point, b: Point, c: Point) -> bool:
-    """True if b = a + s (c - a) with 0 < s < 1 (forward collinear interior point)."""
-    u = _sub(b, a)
-    v = _sub(c, a)
-    if not _parallel(u, v):
-        return False
-    for i in range(len(a)):
-        if v[i] != 0:
-            s = u[i] / v[i]
-            if u != _scale(v, s):
-                return False
-            return 0 < s < 1
-    return False
+    """True if b = a + s (c - a) with 0 < s < 1 (forward collinear interior point).
+
+    Decided on integer vectors u = B - A and v = C - A over one common
+    denominator: u is parallel to v exactly when u (v . v) = v (u . v), and
+    then s = u . v / v . v."""
+    (A, B, C), _ = _integer_points(a, b, c)
+    u = [y - x for x, y in zip(A, B)]
+    v = [z - x for x, z in zip(A, C)]
+    uv = sum(map(mul, u, v))
+    vv = sum(map(mul, v, v))
+    return 0 < uv < vv and all(x * vv == y * uv for x, y in zip(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -299,22 +288,14 @@ class PolyPath:
     def _check_injective(self):
         segs = _segments(self)
         n = len(segs)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not _boxes_meet(segs[i], segs[j]):
-                    continue
-                inter = _segment_segment(*segs[i][:2], *segs[j][:2])
-                for kind, data in inter:
-                    if kind == "overlap":
-                        raise GeometryError("path overlaps itself")
-                    s, t = data
-                    adjacent = j == i + 1
-                    closing = i == 0 and j == n - 1
-                    if adjacent and s == 1 and t == 0:
-                        continue
-                    if closing and s == 0 and t == 1:
-                        continue  # closed edge: v0 == vL allowed
-                    raise GeometryError("path is not injective")
+        for i, j, kind, data in _meetings(combinations(enumerate(segs), 2)):
+            if kind == "overlap":
+                raise GeometryError("path overlaps itself")
+            if data == (1, 0) and j == i + 1:
+                continue  # adjacent segments share their joint
+            if data == (0, 1) and i == 0 and j == n - 1:
+                continue  # closed edge: v0 == vL allowed
+            raise GeometryError("path is not injective")
 
     @property
     def start(self) -> Point:
@@ -453,10 +434,10 @@ class Simplex:
             # orthogonality within float noise: rotated and sheared scenes
             # carry rounded normals, which only orient the exact plane row
             for v in verts[1:]:
-                d = pt_float(_sub(v, verts[0]))
+                d = pt_float([x - y for x, y in zip(v, verts[0])])
                 if abs(float(np.dot(nf, d))) > 1e-9 * max(1.0, np.linalg.norm(d)):
                     raise GeometryError("normal is not orthogonal to the simplex")
-            side = _dot(hull_rows[0], nrm)
+            side = sum(map(mul, hull_rows[0], nrm))
             if side == 0:
                 raise GeometryError("normal lies in the simplex's hyperplane")
             if side < 0:
@@ -576,13 +557,9 @@ class OrientedSurface:
             self._check_disjoint()
 
     def _check_disjoint(self):
-        # Exact pairwise disjointness for pieces of dim <= 2 (vertex containment
-        # plus edge-vs-simplex events); higher-dim pieces get the same necessary
-        # checks, which are complete for the scene families used here.
-        for i in range(len(self.pieces)):
-            for j in range(i + 1, len(self.pieces)):
-                if _simplices_meet(self.pieces[i], self.pieces[j]):
-                    raise GeometryError("surface pieces must be pairwise disjoint")
+        for s1, s2 in combinations(self.pieces, 2):
+            if _simplices_meet(s1, s2):
+                raise GeometryError("surface pieces must be pairwise disjoint")
 
     def inverse(self) -> "OrientedSurface":
         return OrientedSurface(self.pieces, rule=self.rule,
@@ -611,43 +588,51 @@ def joint_surface(s1: OrientedSurface, s2: OrientedSurface) -> OrientedSurface:
                            inverted=s1.inverted, piece_ids=ids)
 
 
-def _simplex_edges(s: Simplex):
-    if s.dim == 0:
-        return []
-    return [
-        (s.vertices[i], s.vertices[j])
-        for i in range(len(s.vertices))
-        for j in range(i + 1, len(s.vertices))
-    ]
-
-
 def _simplices_meet(s1: Simplex, s2: Simplex) -> bool:
-    for v in s1.vertices:
-        if s2.contains(v):
-            return True
-    for v in s2.vertices:
-        if s1.contains(v):
-            return True
-    for a, b in _simplex_edges(s1):
-        if _segment_hits_simplex(a, b, s2):
-            return True
-    for a, b in _simplex_edges(s2):
-        if _segment_hits_simplex(a, b, s1):
-            return True
+    """Whether a vertex or an edge of one simplex, taken closed, meets the
+    other's point set, or faces of the two cross (``_faces_cross``).  That
+    decides exactly whether two closed simplices meet.  A vertex or an edge
+    in an open facet of its own simplex still counts, so pieces that touch
+    only there are refused too."""
+    return (any(s2.contains(v) for v in s1.vertices)
+            or any(s1.contains(v) for v in s2.vertices)
+            or any(_segment_hits_simplex(a, b, s2) for a, b in combinations(s1.vertices, 2))
+            or any(_segment_hits_simplex(a, b, s1) for a, b in combinations(s2.vertices, 2))
+            or _faces_cross(s1, s2))
+
+
+def _faces_cross(s1: Simplex, s2: Simplex) -> bool:
+    """Whether faces F of s1 and G of s2 with dim F, dim G >= 2 and
+    dim F + dim G <= k have affine hulls that meet in one point lying in
+    both point sets.  The point solves F_0 + sum_i l_i (F_i - F_0) =
+    G_0 + sum_j m_j (G_j - G_0) by the integer elimination.  A vertex of the
+    intersection of two closed simplices is the one common point of the
+    hulls of some face pair, so with the vertex and edge tests of
+    ``_simplices_meet`` no meeting of closed simplices is missed."""
+    k = s1.ambient_dim
+    for m, n in product(range(3, len(s1.vertices) + 1), range(3, len(s2.vertices) + 1)):
+        if m + n > k + 2:
+            continue
+        for F, G in product(combinations(s1.vertices, m), combinations(s2.vertices, n)):
+            P, d = _integer_points(*F, *G)
+            f0, g0 = P[0], P[m]
+            rows = [[p[c] - f0[c] for p in P[1:m]] + [g0[c] - q[c] for q in P[m + 1:]]
+                    + [g0[c] - f0[c]] for c in range(k)]
+            kind, lam = _solve_integer_rows(rows, m + n - 2)
+            if kind == "unique":
+                x = tuple((f0[c] + sum(l * (p[c] - f0[c]) for l, p in zip(lam, P[1:m]))) / d
+                          for c in range(k))
+                if s1.contains(x) and s2.contains(x):
+                    return True
     return False
 
 
 def _segment_hits_simplex(a: Point, b: Point, s: Simplex) -> bool:
-    events = _segment_simplex_events(a, b, s)
-    for kind, lo, hi in events:
-        if kind == "point":
-            if s.contains(_lerp(a, b, lo)):
-                return True
-        else:
-            mid = (lo + hi) / 2
-            if s.contains(_lerp(a, b, mid)) or s.contains(_lerp(a, b, lo)) or s.contains(_lerp(a, b, hi)):
-                return True
-    return False
+    """Whether the closed segment ab meets the point set of s, probed at
+    each event's ends and midpoint."""
+    return any(s.contains(_lerp(a, b, t))
+               for _, lo, hi in _segment_simplex_events(a, b, s)
+               for t in {lo, (lo + hi) / 2, hi})
 
 
 # ---------------------------------------------------------------------------
@@ -672,13 +657,14 @@ def _segment_segment(a: Point, b: Point, c: Point, d: Point):
         if 0 <= s <= 1 and 0 <= t <= 1:
             return [("point", (s, t))]
         return []
-    # collinear on a common line: project c, d onto ab's parameter
-    u = _sub(b, a)
-    den = _dot(u, u)
+    # collinear on a common line: project c, d onto ab's parameter (the
+    # common denominator cancels)
+    u = [y - x for x, y in zip(A, B)]
+    den = sum(map(mul, u, u))
     if den == 0:
         return []
-    sc = _dot(_sub(c, a), u) / den
-    sd = _dot(_sub(d, a), u) / den
+    sc = Fraction(sum((z - x) * y for x, y, z in zip(A, u, C)), den)
+    sd = Fraction(sum((w - x) * y for x, y, w in zip(A, u, D)), den)
     lo_s, hi_s = min(sc, sd), max(sc, sd)
     lo = max(Fraction(0), lo_s)
     hi = min(Fraction(1), hi_s)
@@ -945,11 +931,9 @@ class Graph:
         return cls({f"e{i}": p for i, p in enumerate(paths)})
 
     def _check_graph(self):
-        items = list(self.edges.values())
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                if not _edges_meet_only_at_endpoints(items[i], items[j]):
-                    raise GeometryError("graph edges may intersect only at endpoints")
+        for p1, p2 in combinations(self.edges.values(), 2):
+            if not _edges_meet_only_at_endpoints(p1, p2):
+                raise GeometryError("graph edges may intersect only at endpoints")
 
     @property
     def dim(self) -> int:
@@ -1004,28 +988,23 @@ def _segments(path: PolyPath) -> list:
     return [(a, b, tuple(map(min, a, b)), tuple(map(max, a, b))) for a, b in zip(v, v[1:])]
 
 
-def _boxes_meet(s1: tuple, s2: tuple) -> bool:
-    """Whether the exact bounding boxes of two _segments entries meet; two
-    segments whose boxes are disjoint cannot meet."""
-    return all(l1 <= h2 and l2 <= h1 for l1, h1, l2, h2 in zip(s1[2], s1[3], s2[2], s2[3]))
+def _meetings(pairs):
+    """(i, j, kind, data) for each meeting ``_segment_segment`` reports of the
+    pairs ((i, seg_i), (j, seg_j)) of enumerated ``_segments`` entries, in
+    order; pairs whose boxes are disjoint cannot meet and are skipped."""
+    for (i, s1), (j, s2) in pairs:
+        if all(l1 <= h2 and l2 <= h1 for l1, h1, l2, h2 in zip(s1[2], s1[3], s2[2], s2[3])):
+            for kind, data in _segment_segment(s1[0], s1[1], s2[0], s2[1]):
+                yield i, j, kind, data
 
 
 def _edges_meet_only_at_endpoints(p1: PolyPath, p2: PolyPath) -> bool:
-    ends1 = {p1.start, p1.end}
-    ends2 = {p2.start, p2.end}
-    segs2 = _segments(p2)
-    for s1 in _segments(p1):
-        a, b = s1[:2]
-        for s2 in segs2:
-            if not _boxes_meet(s1, s2):
-                continue
-            for kind, data in _segment_segment(a, b, *s2[:2]):
-                if kind == "overlap":
-                    return False
-                s, t = data
-                pt = _lerp(a, b, s)
-                if pt not in ends1 or pt not in ends2:
-                    return False
+    ends = {p1.start, p1.end} & {p2.start, p2.end}
+    v = p1.vertices
+    for i, _, kind, data in _meetings(product(enumerate(_segments(p1)),
+                                              enumerate(_segments(p2)))):
+        if kind == "overlap" or _lerp(v[i], v[i + 1], data[0]) not in ends:
+            return False
     return True
 
 
@@ -1044,24 +1023,12 @@ def build_graph(paths: Sequence[PolyPath]):
     """
     paths = list(paths)
     cuts = [set() for _ in paths]  # exact (segment, s) per path
-    segs = [_segments(p) for p in paths]
-    for i in range(len(paths)):
-        for j in range(i + 1, len(paths)):
-            for si, seg_i in enumerate(segs[i]):
-                for sj, seg_j in enumerate(segs[j]):
-                    if not _boxes_meet(seg_i, seg_j):
-                        continue
-                    for kind, data in _segment_segment(*seg_i[:2], *seg_j[:2]):
-                        if kind == "point":
-                            s, t = data
-                            cuts[i].add((si, s))
-                            cuts[j].add((sj, t))
-                        else:
-                            (s0, t0), (s1, t1) = data
-                            cuts[i].add((si, s0))
-                            cuts[i].add((si, s1))
-                            cuts[j].add((sj, t0))
-                            cuts[j].add((sj, t1))
+    segs = [list(enumerate(_segments(p))) for p in paths]
+    for i, j in combinations(range(len(paths)), 2):
+        for si, sj, kind, data in _meetings(product(segs[i], segs[j])):
+            for s, t in [data] if kind == "point" else data:
+                cuts[i].add((si, s))
+                cuts[j].add((sj, t))
     # each path becomes a chain of sub-paths between consecutive cuts;
     # canonical vertex tuples, and their reverses, map to (edge index, sign)
     edge_list = []
@@ -1122,7 +1089,7 @@ class AffineMap:
         )
 
     def apply_inverse(self, p: Point) -> Point:
-        shifted = _sub(p, self.offset)
+        shifted = [x - y for x, y in zip(p, self.offset)]
         return tuple(
             sum(self._inv[r][c] * shifted[c] for c in range(self.dim))
             for r in range(self.dim)
@@ -1133,12 +1100,32 @@ class AffineMap:
         return AffineMap(self._inv, inv_off)
 
 
+def _stratified_images(mapping, X: np.ndarray, i, j):
+    """Exact images of the float points X (rows) under a stratified map, from
+    one batch ``forward``, or None if the map is not affine along each
+    segment X[i] X[j] (checked at its midpoint within 1e-9)."""
+    images = np.asarray(mapping.forward(X), dtype=float)
+    if len(i):
+        mids = np.asarray(mapping.forward(0.5 * (X[i] + X[j])), dtype=float)
+        if np.any(np.linalg.norm(mids - 0.5 * (images[i] + images[j]), axis=-1) > 1e-9):
+            return None
+    return [tuple(Fraction(float(c)) for c in v) for v in images]
+
+
+def _map_point(mapping, p: Point) -> Point:
+    """Exact image of one point under an affine or a stratified map."""
+    if isinstance(mapping, AffineMap):
+        return mapping.apply(p)
+    return _stratified_images(mapping, pt_float(p)[None], (), ())[0]
+
+
 def map_path(mapping, path: PolyPath) -> PolyPath:
     """Image polyline of a path under an affine map or a stratified map.
 
     Stratified maps are applied after pre-splitting the path at the map's
     declared break loci; each sub-segment must map affinely (checked at
-    midpoints within 1e-9), otherwise the image would not be PL.
+    midpoints within 1e-9), otherwise the image would not be PL and
+    PrecisionError is raised.
     """
     if isinstance(mapping, AffineMap):
         return PolyPath([mapping.apply(v) for v in path.vertices], validate=False)
@@ -1156,39 +1143,50 @@ def map_path(mapping, path: PolyPath) -> PolyPath:
             if np.linalg.norm(b - refined[-1]) > 1e-14:
                 refined.append(b)
         verts = np.array(refined)
-    images = np.asarray(mapping.forward(verts), dtype=float)
-    mids = np.asarray(mapping.forward(0.5 * (verts[:-1] + verts[1:])), dtype=float)
-    if np.any(np.linalg.norm(mids - 0.5 * (images[:-1] + images[1:]), axis=-1) > 1e-9):
+    n = len(verts)
+    images = _stratified_images(mapping, verts, np.arange(n - 1), np.arange(1, n))
+    if images is None:
         raise PrecisionError(
             "map is not affine along a path segment; refine the pre-split"
         )
-    return PolyPath([tuple(Fraction(float(c)) for c in v) for v in images],
-                    validate=False)
+    return PolyPath(images, validate=False)
 
 
-def map_surface(mapping: AffineMap, surface: OrientedSurface) -> OrientedSurface:
-    """Image of a simplicial surface under an invertible affine map.
-
-    Normals transform by the inverse transpose of the linear part (exact when
-    the matrix is rational-orthogonal, renormalized in float otherwise).
-    """
-    inv_t = np.array([[float(v) for v in row] for row in mapping._inv]).T
+def map_surface(mapping, surface: OrientedSurface) -> OrientedSurface:
+    """Image of a simplicial surface under an invertible affine map, or under
+    a stratified map that acts affinely on each piece (checked at the edge
+    midpoints within 1e-9; DomainError otherwise)."""
     new_pieces = []
     for s in surface.pieces:
-        verts = [mapping.apply(v) for v in s.vertices]
-        normal = None
-        if s.normal is not None:
-            n = inv_t @ pt_float(s.normal)
-            n = n / np.linalg.norm(n)
-            # keep exact rational normals exact when the map is
-            exact_n = tuple(
-                sum(mapping._inv[r][c] * s.normal[r] for r in range(mapping.dim))
-                for c in range(mapping.dim)
-            )
-            if _dot(exact_n, exact_n) == 1:
-                normal = exact_n  # rational-orthogonal map: exact unit normal
-            else:
-                normal = tuple(Fraction(float(c)) for c in n)
+        X = np.array([pt_float(v) for v in s.vertices])
+        if isinstance(mapping, AffineMap):
+            verts = [mapping.apply(v) for v in s.vertices]
+        else:
+            verts = _stratified_images(mapping, X, *np.triu_indices(len(X), 1))
+            if verts is None:
+                raise DomainError("stratified map is not affine on the surface")
+        normal = None if s.normal is None else _image_normal(mapping, X, s.normal)
         new_pieces.append(Simplex(verts, closed_facets=s.closed_facets, normal=normal))
     return OrientedSurface(new_pieces, rule=surface.rule, inverted=surface.inverted,
                            piece_ids=surface.piece_ids)
+
+
+def _image_normal(mapping, X: np.ndarray, normal: Point) -> Point:
+    """The unit normal L^-T normal / |L^-T normal| of a piece with float
+    vertices X, for the linear part L of the map.  It is exact when an
+    affine map is rational-orthogonal and rounded from float otherwise; a
+    stratified map's L is taken by central differences at the barycenter."""
+    if isinstance(mapping, AffineMap):
+        k = mapping.dim
+        n = tuple(sum(mapping._inv[r][c] * normal[r] for r in range(k)) for c in range(k))
+        if sum(map(mul, n, n)) == 1:
+            return n
+        n = np.array([[float(v) for v in row] for row in mapping._inv]).T @ pt_float(normal)
+    else:
+        base = np.mean(X, axis=0)
+        k, h = len(base), 1e-6
+        steps = h * np.eye(k)
+        fd = np.asarray(mapping.forward(np.concatenate([base + steps, base - steps])),
+                        dtype=float)
+        n = np.linalg.solve(((fd[:k] - fd[k:]).T / (2 * h)).T, pt_float(normal))
+    return tuple(Fraction(float(c)) for c in n / np.linalg.norm(n))

@@ -58,7 +58,7 @@ from .weylops import (
     weyl_constant,
 )
 
-__all__ = ["Check", "SUITES", "run_checks"]
+__all__ = ["Check", "SUITES", "PARAMS", "suite_params", "run_checks"]
 
 HALF = Irrep("su2", Fraction(1, 2))
 ONE = Irrep("su2", Fraction(1))
@@ -106,7 +106,7 @@ def _spin_entries_batch(mats: np.ndarray, rho: Irrep) -> np.ndarray:
 
 
 def suite_haar(params: dict, rng) -> list:
-    n = int(params.get("samples", 10**5))
+    n = params["samples"]
     mats = haar_sample_matrices(rng, "su2", n)
     checks = []
     chi = np.trace(mats, axis1=1, axis2=2)
@@ -163,9 +163,9 @@ def _gsn_factor_options():
 
 
 def suite_gsn_orthonormality(params: dict, rng) -> list:
-    n_edges = int(params.get("edges", 3))
-    mc_samples = int(params.get("mc_samples", 10**5))
-    subset = int(params.get("mc_subset", 48))
+    n_edges = params["edges"]
+    mc_samples = params["mc_samples"]
+    subset = params["mc_subset"]
     graph = estimates.chain_graph(n_edges)
     edge_ids = sorted(graph.edges)
     opts = _gsn_factor_options()
@@ -215,7 +215,7 @@ def suite_gsn_orthonormality(params: dict, rng) -> list:
 
 
 def suite_weyl_unitarity(params: dict, rng) -> list:
-    instances = int(params.get("instances", 100))
+    instances = params["instances"]
     surface = _plane_surface()
     worst = 0.0
     for _ in range(instances):
@@ -228,7 +228,7 @@ def suite_weyl_unitarity(params: dict, rng) -> list:
 
 
 def suite_weyl_algebra_laws(params: dict, rng) -> list:
-    instances = int(params.get("instances", 100))
+    instances = params["instances"]
     surface = _plane_surface()
     other = _plane_surface(Fraction(1, 2))
     worst_adjoint = 0.0
@@ -274,7 +274,7 @@ def suite_weyl_algebra_laws(params: dict, rng) -> list:
 
 
 def suite_covariance(params: dict, rng) -> list:
-    instances = int(params.get("instances", 50))
+    instances = params["instances"]
     surface = _plane_surface()
     rot = AffineMap(
         [
@@ -320,7 +320,7 @@ def suite_covariance(params: dict, rng) -> list:
 
 
 def suite_strat_diffeo(params: dict, rng) -> list:
-    samples = int(params.get("samples", 10**4))
+    samples = params["samples"]
     checks = []
     tau, eps, a = 1.0, 0.25, 0.8
     bump = stratmaps.bump_map(-tau, tau, eps, a, 3)
@@ -371,7 +371,7 @@ def suite_casimir(params: dict, rng) -> list:
     from .liegroup import su2_basis
 
     basis = su2_basis()
-    draws = int(params.get("draws", 1000))
+    draws = params["draws"]
     checks = []
     grid = np.linspace(-1.0, 1.0, 20)
     worst = max(
@@ -401,7 +401,7 @@ def suite_winding(params: dict, rng) -> list:
     from .liegroup import su2_basis
 
     basis = su2_basis()
-    t = float(params.get("t", 0.1))
+    t = params["t"]
     checks = []
     for j in (2, 4):
         rep = estimates.winding_average_check(HALF, basis, j, t)
@@ -412,7 +412,7 @@ def suite_winding(params: dict, rng) -> list:
 
 
 def suite_nice_surface(params: dict, rng) -> list:
-    pairs = int(params.get("pairs", 20))
+    pairs = params["pairs"]
     checks = []
     worst = 0.0
     for rho in (HALF, ONE):
@@ -443,10 +443,10 @@ def suite_splitting(params: dict, rng) -> list:
     from .liegroup import su2_basis
 
     basis = su2_basis()
-    t_grid = params.get("t_grid", [0.4, 0.3, 0.28])
-    tau2 = float(params.get("tau2", 0.3))
-    tau4 = float(params.get("tau4", 0.05))
-    max_j = int(params.get("max_j", 4))
+    t_grid = params["t_grid"]
+    tau2 = params["tau2"]
+    tau4 = params["tau4"]
+    max_j = params["max_j"]
     rep = estimates.splitting_witness(HALF, basis, t_grid, tau2, tau4, max_j=max_j)
     checks = []
     admissible = [e for e in rep["entries"] if e.get("admissible")]
@@ -499,7 +499,7 @@ def _random_scene(rng):
 
 
 def suite_decomposition(params: dict, rng) -> list:
-    trials = int(params.get("trials", 200))
+    trials = params["trials"]
     worst_refine = 0.0
     count_mismatch = 0
     compat_fail = 0
@@ -567,8 +567,44 @@ SUITES = {
 }
 
 
+# the parameters each suite reads, with their defaults
+PARAMS = {
+    "haar": {"samples": 10**5},
+    "gsn-orthonormality": {"edges": 3, "mc_samples": 10**5, "mc_subset": 48},
+    "weyl-unitarity": {"instances": 100},
+    "weyl-algebra-laws": {"instances": 100},
+    "covariance": {"instances": 50},
+    "strat-diffeo": {"samples": 10**4},
+    "casimir": {"draws": 1000},
+    "winding": {"t": 0.1},
+    "nice-surface": {"pairs": 20},
+    "splitting": {"t_grid": [0.4, 0.3, 0.28], "tau2": 0.3, "tau4": 0.05, "max_j": 4},
+    "decomposition": {"trials": 200},
+}
+
+
+def suite_params(suite: str, given: dict) -> dict:
+    """The suite's parameters: its defaults, overridden by the given values,
+    each converted to its default's type (a list to a list of floats).
+    Raises ValueError naming a parameter the suite does not read or a value
+    that does not convert."""
+    params = dict(PARAMS[suite])
+    for name, value in given.items():
+        if name not in params:
+            raise ValueError(f"suite {suite!r} reads no param {name!r}; "
+                             f"it reads {', '.join(params)}")
+        kind = type(params[name])
+        try:
+            params[name] = [float(v) for v in value] if kind is list else kind(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"param {name!r} of suite {suite!r} is not a valid "
+                             f"{kind.__name__}: {value!r}") from None
+    return params
+
+
 def run_checks(suite: str, params: dict, seed: int) -> list:
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}")
+    params = suite_params(suite, params or {})
     rng = np.random.default_rng(seed)
-    return SUITES[suite](params or {}, rng)
+    return SUITES[suite](params, rng)

@@ -31,6 +31,7 @@ from .geometry import (
     Graph,
     OrientedSurface,
     PolyPath,
+    _map_point,
     map_path,
     map_surface,
     sigma_pair,
@@ -211,23 +212,19 @@ class Graphomorphism:
         if (self.affine is None) == (self.strat is None):
             raise DomainError("exactly one backing map required")
 
+    @property
+    def _mapping(self):
+        """The backing map, affine or stratified."""
+        return self.affine if self.affine is not None else self.strat
+
     def on_path(self, path: PolyPath) -> PolyPath:
-        return map_path(self.affine if self.affine is not None else self.strat, path)
+        return map_path(self._mapping, path)
 
     def on_surface(self, surface: OrientedSurface) -> OrientedSurface:
-        if self.affine is not None:
-            return map_surface(self.affine, surface)
-        return _map_surface_strat(self.strat, surface)
+        return map_surface(self._mapping, surface)
 
     def on_point(self, point):
-        if self.affine is not None:
-            return self.affine.apply(point)
-        from fractions import Fraction
-
-        from .geometry import pt_float
-
-        img = self.strat.forward(pt_float(point))
-        return tuple(Fraction(float(c)) for c in img)
+        return _map_point(self._mapping, point)
 
     def inverse(self) -> "Graphomorphism":
         if self.affine is not None:
@@ -260,49 +257,6 @@ def map_weyl_descriptor(phi: Graphomorphism, w: WeylDescriptor) -> WeylDescripto
         fn = lambda p: orig(inv.on_point(p))
     label = SurfaceLabel(new_surface, w.group, per_stratum=per, point_fn=fn)
     return WeylDescriptor(new_surface, label, w.rule)
-
-
-def _map_surface_strat(strat, surface: OrientedSurface) -> OrientedSurface:
-    """Map a surface through a stratified map acting affinely on its pieces.
-
-    Each piece's vertices, edge midpoints and finite-difference points are
-    mapped in one batch each (batch rows equal one-point results).
-    """
-    from fractions import Fraction
-
-    from .geometry import Simplex, pt_float
-
-    new_pieces = []
-    for s in surface.pieces:
-        verts = np.array([pt_float(v) for v in s.vertices])
-        images = np.asarray(strat.forward(verts), dtype=float)
-        # affineness check on edge midpoints
-        i, j = np.triu_indices(len(verts), 1)
-        fmid = np.asarray(strat.forward(0.5 * (verts[i] + verts[j])), dtype=float)
-        if np.any(np.linalg.norm(fmid - 0.5 * (images[i] + images[j]), axis=-1) > 1e-9):
-            raise DomainError("stratified map is not affine on the surface")
-        normal = None
-        if s.normal is not None:
-            # linear part from central differences at the barycenter
-            base = np.mean(verts, axis=0)
-            k = len(base)
-            h = 1e-6
-            steps = h * np.eye(k)
-            fd = np.asarray(strat.forward(np.concatenate([base + steps, base - steps])),
-                            dtype=float)
-            lin = (fd[:k] - fd[k:]).T / (2 * h)
-            n = np.linalg.solve(lin.T, pt_float(s.normal))
-            n /= np.linalg.norm(n)
-            normal = tuple(Fraction(float(c)) for c in n)
-        new_pieces.append(
-            Simplex(
-                [tuple(Fraction(float(c)) for c in img) for img in images],
-                closed_facets=s.closed_facets,
-                normal=normal,
-            )
-        )
-    return OrientedSurface(new_pieces, rule=surface.rule, inverted=surface.inverted,
-                           piece_ids=surface.piece_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,38 @@ def test_cli_malformed_config_exit_2(tmp_path, capsys, config, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"suite": "decomposition", "sede": 3}, "unknown config key 'sede'"),
+    ({"suite": "decomposition", "params": {"trails": 5}},
+     "suite 'decomposition' reads no param 'trails'; it reads trials"),
+    ({"suite": "casimir", "params": {"draws": "many"}},
+     "param 'draws' of suite 'casimir' is not a valid int: 'many'"),
+], ids=["unknown-key", "param-the-suite-does-not-read", "param-value-not-an-int"])
+def test_cli_config_input_not_read_exit_2(monkeypatch, tmp_path, capsys, config, message):
+    # input the suite would ignore or cannot convert is refused before it runs
+    from holoflux import cli
+
+    def run_checks(suite, params, seed):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setattr(cli, "run_checks", run_checks)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "r.json"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_params_convert_to_the_defaults_types():
+    from holoflux.suites import PARAMS, suite_params
+
+    assert suite_params("decomposition", {}) == PARAMS["decomposition"] == {"trials": 200}
+    got = suite_params("splitting", {"t_grid": [1, "0.5"], "max_j": "3", "tau2": 1})
+    assert got == {"t_grid": [1.0, 0.5], "tau2": 1.0, "tau4": 0.05, "max_j": 3}
+    assert type(got["tau2"]) is float and type(got["max_j"]) is int
+
+
 def test_cli_failing_check_exit_1(monkeypatch, tmp_path):
     from holoflux import cli
     from holoflux.suites import Check

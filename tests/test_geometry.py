@@ -30,6 +30,7 @@ from holoflux.geometry import (
     _lerp,
     _segment_segment,
     _segment_simplex_events,
+    _strictly_between,
 )
 
 
@@ -1172,3 +1173,161 @@ def test_build_graph_matches_linear_scan_reference(paths):
             e = graph.edges[eid] if sign == 1 else graph.edges[eid].reversed()
             chain = e if chain is None else chain.concat(e)
         assert chain.vertices == p.vertices
+
+
+# ---------------------------------------------------------------------------
+# collinearity and path validation against the Fraction-vector code they replace
+# ---------------------------------------------------------------------------
+
+
+def strictly_between_reference(a, b, c):
+    """b = a + s (c - a) with 0 < s < 1, on Fraction vectors: u = b - a must
+    be parallel to v = c - a and equal s v for the s of v's first nonzero
+    coordinate."""
+    u = tuple(y - x for x, y in zip(a, b))
+    v = tuple(z - x for x, z in zip(a, c))
+    k = len(u)
+    if any(u[i] * v[j] - u[j] * v[i] != 0 for i in range(k) for j in range(i + 1, k)):
+        return False
+    for i in range(k):
+        if v[i] != 0:
+            s = u[i] / v[i]
+            if u != tuple(s * x for x in v):
+                return False
+            return 0 < s < 1
+    return False
+
+
+@st.composite
+def point_triples(draw):
+    """(a, b, c) in R^2..R^4 with b anywhere, at a or c, or on the line ac
+    inside or outside the segment, and sometimes a == c."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    pt = st.tuples(*[frac] * k).map(as_point)
+    a = draw(pt)
+    c = a if draw(st.integers(0, 5)) == 0 else draw(pt)
+    how = draw(st.sampled_from(["any", "a", "c", "line", "line", "line"]))
+    if how == "a":
+        b = a
+    elif how == "c":
+        b = c
+    elif how == "line":
+        s = draw(st.one_of(frac, st.sampled_from([F(-1), F(0), F(1, 2), F(1), F(2)])))
+        b = tuple(x + s * (z - x) for x, z in zip(a, c))
+    else:
+        b = draw(pt)
+    return a, b, c
+
+
+@settings(max_examples=1000, deadline=None)
+@given(point_triples())
+@example((as_point((0, 0)), as_point((1, 1)), as_point((2, 2))))
+@example((as_point((0, 0)), as_point((3, 3)), as_point((2, 2))))
+@example((as_point((1, 2, 3)), as_point((1, 2, 3)), as_point((1, 2, 3))))
+def test_strictly_between_matches_fraction_vectors(triple):
+    assert _strictly_between(*triple) is strictly_between_reference(*triple)
+
+
+def canonical_vertices_reference(vertices):
+    if len(vertices) <= 2:
+        return vertices
+    out = [vertices[0]]
+    for i in range(1, len(vertices) - 1):
+        if not strictly_between_reference(out[-1], vertices[i], vertices[i + 1]):
+            out.append(vertices[i])
+    out.append(vertices[-1])
+    return tuple(out)
+
+
+def check_injective_reference(vertices):
+    """The edge condition over every segment pair, without box pruning."""
+    segs = list(zip(vertices, vertices[1:]))
+    n = len(segs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for kind, data in segment_segment_reference(*segs[i], *segs[j]):
+                if kind == "overlap":
+                    raise GeometryError("path overlaps itself")
+                s, t = data
+                if j == i + 1 and s == 1 and t == 0:
+                    continue
+                if i == 0 and j == n - 1 and s == 0 and t == 1:
+                    continue
+                raise GeometryError("path is not injective")
+
+
+def path_outcome(make, vertices):
+    try:
+        return make(vertices)
+    except GeometryError as exc:
+        return str(exc)
+
+
+def validated_reference(vertices):
+    canonical = canonical_vertices_reference(tuple(as_point(v) for v in vertices))
+    check_injective_reference(canonical)
+    return canonical
+
+
+@st.composite
+def vertex_lists(draw):
+    """Vertex lists in R^2 or R^3 that run on along a line, turn back on it,
+    cross themselves, revisit a vertex or close."""
+    dim = draw(st.sampled_from([2, 3]))
+    point = st.tuples(*[st.integers(-2, 2)] * dim)
+    verts = [as_point(draw(point))]
+    for _ in range(draw(st.integers(1, 5))):
+        how = draw(st.sampled_from(["fresh", "fresh", "line", "line", "earlier"]))
+        if how == "line" and len(verts) >= 2:
+            s = draw(st.sampled_from([F(-1, 2), F(1, 2), F(3, 2), F(2)]))
+            v = tuple(x + s * (y - x) for x, y in zip(verts[-2], verts[-1]))
+        elif how == "earlier":
+            v = draw(st.sampled_from(verts))
+        else:
+            v = as_point(draw(point))
+        if v != verts[-1]:
+            verts.append(v)
+    assume(len(verts) >= 2)
+    return verts
+
+
+@settings(max_examples=600, deadline=None)
+@given(vertex_lists())
+@example([(0, 0), (2, 0), (1, 1), (1, -1)])
+@example([(0, 0), (2, 0), (1, 0), (1, 1)])
+@example([(0, 0), (1, 0), (0, 1), (0, 0)])
+@example([(0, 0), (1, 0), (2, 0), (3, 0)])
+def test_polypath_validation_matches_fraction_vectors(vertices):
+    got = path_outcome(lambda v: PolyPath(v).vertices, vertices)
+    assert got == path_outcome(validated_reference, vertices)
+
+
+# ---------------------------------------------------------------------------
+# disjointness of surface pieces in R^4
+# ---------------------------------------------------------------------------
+
+
+def r4_triangle(x, y):
+    """A triangle in the plane (x, y, *, *) of R^4."""
+    return Simplex([(x, y, -1, -1), (x, y, 2, -1), (x, y, -1, 2)])
+
+
+T1 = Simplex([(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0)])
+
+
+def test_r4_triangles_meeting_in_one_point_are_refused():
+    # both contain (1/2, 1/2, 0, 0), inside each; no vertex or edge of one
+    # meets the other
+    h = F(1, 2)
+    with pytest.raises(GeometryError, match="pairwise disjoint"):
+        OrientedSurface([T1, r4_triangle(h, h)])
+    with pytest.raises(GeometryError, match="pairwise disjoint"):
+        OrientedSurface([r4_triangle(h, h), T1])
+
+
+def test_r4_triangles_whose_hulls_meet_outside_one_are_accepted():
+    # the hulls meet in (2, 2, 0, 0), outside T1
+    surface = OrientedSurface([T1, r4_triangle(2, 2)])
+    assert surface.find_piece((F(1, 2), F(1, 2), 0, 0))[0] == "s0"
+    assert surface.find_piece((2, 2, 0, 0))[0] == "s1"
+

@@ -18,7 +18,8 @@ def test_replay_of_a_tree_against_itself_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert " 0 mismatches" in proc.stdout
     for name in ("decompose_minimal", "punctures", "completely_transversal",
-                 "sigma_eval", "build_graph", "_segment_simplex_events"):
+                 "sigma_eval", "build_graph", "_segment_simplex_events",
+                 "_strictly_between", "_segment_segment", "map_path", "map_surface"):
         line = next(ln for ln in proc.stdout.splitlines() if ln.startswith(name))
         assert int(line.split()[1]) > 0, line
     # the replayed inputs reach internal pieces and codimension >= 2 simplices

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from holoflux.connections import constant_label, random_connection
+from holoflux.connections import DomainError, constant_label, random_connection
 from holoflux.cylindrical import (
     align_to_common,
     cylfun,
@@ -303,6 +303,99 @@ def test_stratified_graphomorphism_on_path_and_point_bump():
     for p, row in zip(points, batch):
         assert phi.on_point(p) == exact(strat.forward(pt_float(p))) == exact(row)
     assert phi.on_point((3, 0, 0)) == (3, 0, 0)  # outside the box: identity
+
+
+# stratified graphomorphisms, against the batched transport they replace
+
+
+def map_surface_strat_batch_reference(strat, surface):
+    """The batched stratified surface transport as weylops wrote it before
+    geometry.map_surface took both kinds of map."""
+    new_pieces = []
+    for s in surface.pieces:
+        verts = np.array([pt_float(v) for v in s.vertices])
+        images = np.asarray(strat.forward(verts), dtype=float)
+        i, j = np.triu_indices(len(verts), 1)
+        fmid = np.asarray(strat.forward(0.5 * (verts[i] + verts[j])), dtype=float)
+        if np.any(np.linalg.norm(fmid - 0.5 * (images[i] + images[j]), axis=-1) > 1e-9):
+            raise DomainError("stratified map is not affine on the surface")
+        normal = None
+        if s.normal is not None:
+            base = np.mean(verts, axis=0)
+            k = len(base)
+            h = 1e-6
+            steps = h * np.eye(k)
+            fd = np.asarray(strat.forward(np.concatenate([base + steps, base - steps])),
+                            dtype=float)
+            lin = (fd[:k] - fd[k:]).T / (2 * h)
+            n = np.linalg.solve(lin.T, pt_float(s.normal))
+            n /= np.linalg.norm(n)
+            normal = tuple(Fraction(float(c)) for c in n)
+        new_pieces.append(Simplex([exact(img) for img in images],
+                                  closed_facets=s.closed_facets, normal=normal))
+    return OrientedSurface(new_pieces, rule=surface.rule, inverted=surface.inverted,
+                           piece_ids=surface.piece_ids)
+
+
+def on_point_strat_reference(strat, point):
+    return exact(strat.forward(pt_float(point)))
+
+
+def transported(f, *args):
+    """The fields of the surface f returns, or its error."""
+    try:
+        out = f(*args)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+    return ([(p.vertices, p.normal, p.closed_facets) for p in out.pieces],
+            out.rule, out.inverted, out.piece_ids)
+
+
+def triangle(x, y, z, size, normal=(1, 0, 0), closed=(True, True, True)):
+    """A triangle in the plane x = const with one corner at (x, y, z)."""
+    return Simplex([(x, y, z), (x, y + size, z), (x, y, z + size)],
+                   normal=normal, closed_facets=closed)
+
+
+def strat_case(name):
+    """A stratified map and surfaces (lists of pieces) to move through it."""
+    q = Fraction(1, 4)
+    if name == "bump":
+        return bump_map(-1.0, 1.0, 0.25, 0.8, 3), [
+            [triangle(3, 0, 0, 1)],                                 # outside the box
+            [triangle(0, -q / 2, -q / 2, q / 2)],                   # around the lifted axis
+            [triangle(0, -q / 2, -q / 2, q / 2), triangle(5, 0, 0, 1)],
+            [triangle(-1, -q, -q, 2 * q)],                          # where the slope starts
+            [Simplex([(0, -1, 0), (0, 1, 0)])],                     # across the rows: refused
+        ]
+    return scaling_map(EuclideanGauge(3), 2.0, 0.1), [
+        [triangle(q, -q, -q, 3 * q, closed=(True, False, True)),
+         Simplex([(-q, 0, 0), (-q, q, 0), (-2 * q, 0, q)])],
+        [triangle(-q, -q, -q, q / 2, normal=(-1, 0, 0))],
+        [triangle(0, -1, -1, 3)],                                   # through the shell
+        [triangle(9, 0, 0, 1)],                                     # outside the shell
+    ]
+
+
+@pytest.mark.parametrize("name", ["bump", "scaling"])
+def test_stratified_transport_is_bit_identical_to_the_batched_reference(name):
+    strat, surfaces = strat_case(name)
+    phi = Graphomorphism(strat=strat)
+    outcomes = set()
+    for pieces in surfaces:
+        for inverted in (False, True):
+            surface = OrientedSurface(pieces, inverted=inverted)
+            got = transported(phi.on_surface, surface)
+            assert got == transported(map_surface_strat_batch_reference, strat, surface)
+            outcomes.add(got[0] == "DomainError")
+    assert outcomes == {False, True}  # both moved surfaces and refusals compared
+    rng = np.random.default_rng(57)
+    lo, hi = strat.bbox
+    points = [tuple(Fraction(float(c)) for c in rng.uniform(lo - 0.5, hi + 0.5))
+              for _ in range(200)]
+    points += [(0, 0, 0), (Fraction(-9, 8), Fraction(1, 10), 0), (3, 0, 0)]
+    for p in points:
+        assert phi.on_point(p) == on_point_strat_reference(strat, p)
 
 
 # ---------------------------------------------------------------------------
