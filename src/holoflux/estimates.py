@@ -425,8 +425,6 @@ def nice_surface_inner_check(rho: Irrep, g1: GroupElement, g2: GroupElement,
     labels = {"e0": (rho.key(), m, n)}
     if rho.group == "su2":
         labels["e1"] = spectator
-    else:
-        graph, gamma, surfaces = nice_surface_scene(2, with_spectator=False)
     t_state = gsn(graph, rho.group, labels)
     w1 = weyl_constant(surfaces[0], g1)
     w2 = weyl_constant(surfaces[1], g2)

@@ -1130,19 +1130,18 @@ def map_path(mapping, path: PolyPath) -> PolyPath:
     if isinstance(mapping, AffineMap):
         return PolyPath([mapping.apply(v) for v in path.vertices], validate=False)
     # stratified map: float evaluation with pre-splitting
-    breaks = getattr(mapping, "path_break_params", None)
     verts = np.array([pt_float(v) for v in path.vertices])
-    if breaks is not None:
-        refined = [verts[0]]
-        # one call splits every segment (array-native stratified maps)
-        for a, b, params in zip(verts, verts[1:], breaks(verts[:-1], verts[1:])):
-            for s in params:
-                p = a + s * (b - a)
-                if np.linalg.norm(p - refined[-1]) > 1e-14:
-                    refined.append(p)
-            if np.linalg.norm(b - refined[-1]) > 1e-14:
-                refined.append(b)
-        verts = np.array(refined)
+    refined = [verts[0]]
+    # one call splits every segment (array-native stratified maps)
+    for a, b, params in zip(verts, verts[1:],
+                            mapping.path_break_params(verts[:-1], verts[1:])):
+        for s in params:
+            p = a + s * (b - a)
+            if np.linalg.norm(p - refined[-1]) > 1e-14:
+                refined.append(p)
+        if np.linalg.norm(b - refined[-1]) > 1e-14:
+            refined.append(b)
+    verts = np.array(refined)
     n = len(verts)
     images = _stratified_images(mapping, verts, np.arange(n - 1), np.arange(1, n))
     if images is None:

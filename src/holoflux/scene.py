@@ -10,6 +10,9 @@ so a scene written and read back is the same scene:
                    "normals": [[...] | null, ...], "rule": "natural",
                    "open_faces": [[facet indices], ...]}, ...]}
 
+A surface's "rule" is "natural", "topological" or "inverse", the last an
+inverted natural surface; an inverted topological surface has no form here.
+
 Cylindrical functions and Weyl descriptors follow the same conventions:
 coefficients as [re, im] pairs, factors as {"irrep": "su2:1/2", "m": 0,
 "n": 1} or "trivial", group elements as matrices of [re, im] entries.
@@ -69,6 +72,9 @@ def scene_to_json(dimension: int, paths: dict, surfaces: dict) -> dict:
             {"id": pid, "vertices": [[_num(c) for c in v] for v in path.vertices]}
         )
     for sid, surf in surfaces.items():
+        if surf.inverted and surf.rule != "natural":
+            # "inverse" reads back as an inverted natural surface
+            raise SceneError(f"surface {sid!r}: the format holds no inverted {surf.rule} surface")
         simplices = []
         normals = []
         open_faces = []

@@ -34,6 +34,10 @@ and break functions return values or masks of shape ``X.shape[:-1]``.  The
 map methods (``forward``, ``inverse``, ``piece_name``, ``pieces_at``,
 ``path_break_params``) follow the same rule, so one call maps a whole batch,
 and each row of a batch gets bit for bit what the row alone would get.
+``forward``, ``inverse`` and ``piece_name`` place each row in one sweep over
+the pieces: the first piece whose closed region holds a row claims it, a row
+outside the bbox closure or claimed by none keeps its exact value, and the
+sweep stops once every row is placed.
 """
 
 from __future__ import annotations
@@ -125,30 +129,26 @@ class StratMap:
     def inverse(self, y) -> np.ndarray:
         return self._apply(np.asarray(y, dtype=float), self.inv_pieces)
 
-    def _locate(self, x: np.ndarray, pieces: list) -> np.ndarray:
-        """Index into `pieces` of the first piece whose closed region holds
-        each row of x, or -1 (outside the bbox closure, or claimed by none)."""
-        rows = x.reshape(-1, self.dim)
-        idx = np.full(len(rows), -1)
+    def _sweep(self, rows: np.ndarray, pieces: list):
+        """(k, ascending indices of the rows piece k claims first) for each
+        piece that claims a row, until every row in the bbox closure is
+        placed; rows outside it or claimed by no piece are never yielded."""
         rest = np.flatnonzero(self.in_support_closure(rows))
         for k, piece in enumerate(pieces):
             if rest.size == 0:
-                break
+                return
             hit = piece.contains(rows[rest])
-            idx[rest[hit]] = k
-            rest = rest[~hit]
-        return idx.reshape(x.shape[:-1])
+            if hit.any():
+                yield k, rest[hit]
+                rest = rest[~hit]
 
     def _apply(self, x: np.ndarray, pieces: list) -> np.ndarray:
-        """Each row mapped by its located piece; unlocated rows keep their
-        exact input values."""
-        idx = self._locate(x, pieces).reshape(-1)
+        """Each row mapped by the first piece that claims it; unclaimed rows
+        keep their exact input values."""
         rows = x.reshape(-1, self.dim)
         out = rows.copy()
-        for k, piece in enumerate(pieces):
-            sel = idx == k
-            if sel.any():
-                out[sel] = piece.apply(rows[sel])
+        for k, sel in self._sweep(rows, pieces):
+            out[sel] = pieces[k].apply(rows[sel])
         return out.reshape(x.shape)
 
     def in_support_closure(self, x) -> np.ndarray:
@@ -170,9 +170,15 @@ class StratMap:
         return out
 
     def piece_name(self, x):
-        """The located piece's name per row ("identity" where none)."""
+        """The name of the first piece that claims each row ("identity" where
+        none does)."""
+        x = np.asarray(x, dtype=float)
+        rows = x.reshape(-1, self.dim)
         names = np.array([p.name for p in self.pieces] + ["identity"])
-        return names[self._locate(np.asarray(x, dtype=float), self.pieces)]
+        idx = np.full(len(rows), len(self.pieces))
+        for k, sel in self._sweep(rows, self.pieces):
+            idx[sel] = k
+        return names[idx.reshape(x.shape[:-1])]
 
     def inverted(self) -> "StratMap":
         return StratMap(
@@ -360,6 +366,12 @@ def compose(*maps: StratMap) -> StratMap:
     )
 
 
+def _identity_map(dim: int, bbox: tuple, family: str, params: dict) -> StratMap:
+    """The identity of R^dim as a stratified map with no pieces."""
+    return StratMap(dim=dim, pieces=[], inv_pieces=[], in_support=_nowhere, bbox=bbox,
+                    boundary_sampler=lambda rng, count: [], family=family, params=params)
+
+
 # ---------------------------------------------------------------------------
 # Gauges (Minkowski functionals of star bodies)
 # ---------------------------------------------------------------------------
@@ -430,6 +442,18 @@ def _orthogonal_complement(span: np.ndarray) -> np.ndarray:
     """A vector orthogonal to all rows of span (codimension-1 case)."""
     _u, _s, vh = np.linalg.svd(span)
     return vh[-1]
+
+
+def _level_sampler(gauge, inner: float, outer: float) -> Callable:
+    """Boundary sampler on two level sets of a gauge: per point a normal
+    direction, then a coin choosing the inner or the outer level."""
+
+    def boundary_sampler(rng, count):
+        return [gauge.support_point(rng.normal(size=gauge.dim),
+                                    inner if rng.integers(2) else outer)
+                for _ in range(count)]
+
+    return boundary_sampler
 
 
 # ---------------------------------------------------------------------------
@@ -567,16 +591,7 @@ def scaling_map(gauge, lam: float, eps: float) -> StratMap:
     bbox = (-r_out * np.ones(dim), r_out * np.ones(dim))
 
     if lam == 1.0:
-        return StratMap(
-            dim=dim,
-            pieces=[],
-            inv_pieces=[],
-            in_support=_nowhere,
-            bbox=bbox,
-            boundary_sampler=lambda rng, n: [],
-            family="scaling",
-            params={"lam": lam, "eps": eps},
-        )
+        return _identity_map(dim, bbox, "scaling", {"lam": lam, "eps": eps})
 
     if lam >= 1.0:
         sq = math.sqrt(lam)
@@ -612,14 +627,6 @@ def scaling_map(gauge, lam: float, eps: float) -> StratMap:
         qp.inverse,
     )
 
-    def boundary_sampler(rng, count):
-        pts = []
-        for _ in range(count):
-            d = rng.normal(size=dim)
-            level = 1.0 if rng.integers(2) else shell_hi
-            pts.append(gauge.support_point(d, level))
-        return pts
-
     breaks = [
         lambda pt: gauge(pt) - 1.0,
         lambda pt: gauge(pt) - shell_hi,
@@ -630,7 +637,7 @@ def scaling_map(gauge, lam: float, eps: float) -> StratMap:
         inv_pieces=[inv_core, inv_shell],
         in_support=lambda x: gauge(x) < shell_hi,
         bbox=bbox,
-        boundary_sampler=boundary_sampler,
+        boundary_sampler=_level_sampler(gauge, 1.0, shell_hi),
         break_functions=breaks,
         family="scaling",
         params={"lam": lam, "eps": eps},
@@ -677,21 +684,13 @@ def rotation_map(x_gen: np.ndarray, r1: float, r2: float) -> StratMap:
     inv_core = Piece("core", lambda y: _row_norm(y) <= r2, lambda y: _matvec(full_inv, y))
     inv_annulus = Piece("annulus", lambda y: _between(_row_norm(y), r2, r1), annulus_map(-1.0))
 
-    def boundary_sampler(rng, count):
-        pts = []
-        for _ in range(count):
-            d = rng.normal(size=dim)
-            d /= np.linalg.norm(d)
-            pts.append(d * (r2 if rng.integers(2) else r1))
-        return pts
-
     return StratMap(
         dim=dim,
         pieces=[core, annulus],
         inv_pieces=[inv_core, inv_annulus],
         in_support=lambda x: _row_norm(x) < r1,
         bbox=(-r1 * np.ones(dim), r1 * np.ones(dim)),
-        boundary_sampler=boundary_sampler,
+        boundary_sampler=_level_sampler(EuclideanGauge(dim), r2, r1),
         break_functions=[
             lambda pt: _row_norm(pt) - r2,
             lambda pt: _row_norm(pt) - r1,
@@ -949,17 +948,9 @@ def winding_map(taus: Sequence[float], levels: Sequence[int],
     if len(taus) % 2 != 0:
         raise StratMapError("need an even number of crossing times")
     if len(taus) == 0:
-        return StratMap(
-            dim=n,
-            pieces=[],
-            inv_pieces=[],
-            in_support=_nowhere,
-            bbox=(-np.ones(n), np.ones(n)),
-            boundary_sampler=lambda rng, count: [],
-            family="winding",
-            params={"taus": [], "levels": [], "z_targets": list(z_targets),
-                    "eps": eps, "height": height, "sign_base": 1},
-        )
+        return _identity_map(n, (-np.ones(n), np.ones(n)), "winding",
+                             {"taus": [], "levels": [], "z_targets": list(z_targets),
+                              "eps": eps, "height": height, "sign_base": 1})
     if any(t2 - t1 <= 2 * eps for t1, t2 in zip(taus, taus[1:])):
         raise StratMapError("crossing times must be spaced more than 2*eps apart")
     if len(levels) != len(taus):
@@ -972,6 +963,7 @@ def winding_map(taus: Sequence[float], levels: Sequence[int],
     factors = []
     w = eps / 2.0
     c_max = max((abs(z_targets[l]) for l in levels), default=0.0)
+    z_tent = max(w, 2 * height)
     # tents first (the axis is still at y = 0, z = 0)
     for tau_j, level in zip(taus, levels):
         c = float(z_targets[level])
@@ -986,8 +978,8 @@ def winding_map(taus: Sequence[float], levels: Sequence[int],
             axis_x=0,
             axis_y=2,
             sign=1.0 if c > 0 else -1.0,
-            z_core=max(w, 2 * height) if n == 3 else max(w, 2 * height),
-            z_outer=2 * max(w, 2 * height),
+            z_core=z_tent,
+            z_outer=2 * z_tent,
         )
         factors.append(tent)
     # y-bumps: lift each block [tau_{2k}, tau_{2k+1}] to 2*height

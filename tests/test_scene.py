@@ -110,3 +110,15 @@ def test_malformed_coordinate_raises_scene_error(bad):
     doc["surfaces"][0]["normals"][0][2] = bad
     with pytest.raises(SceneError):
         scene_from_json(doc)
+
+
+def test_written_surface_reads_back_with_its_rule_or_is_refused():
+    tri = Simplex([(0, -2, -2), (0, 3, -2), (0, -2, 3)], normal=(1, 0, 0))
+    natural = OrientedSurface([tri], piece_ids=("S.0",))
+    topological = OrientedSurface([tri], rule="topological", piece_ids=("S.0",))
+    for surface in (natural, natural.inverse(), topological):
+        _dim, _paths, back = scene_from_json(scene_to_json(3, {}, {"S": surface}))
+        assert (back["S"].rule, back["S"].inverted) == (surface.rule, surface.inverted)
+    # "inverse" would read back as an inverted natural surface
+    with pytest.raises(SceneError, match="inverted topological"):
+        scene_to_json(3, {}, {"S": topological.inverse()})

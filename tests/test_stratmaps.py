@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -577,6 +578,140 @@ def test_batch_equals_rows(name):
         outside = ~mm.in_support_closure(pts)
         assert outside.any()
         assert np.array_equal(mm.forward(pts)[outside], pts[outside])
+
+
+# the locate-then-apply code that the one-sweep placement replaced, kept as
+# the reference it must match bit for bit
+
+
+def locate_reference(m, x, pieces):
+    rows = x.reshape(-1, m.dim)
+    idx = np.full(len(rows), -1)
+    rest = np.flatnonzero(m.in_support_closure(rows))
+    for k, piece in enumerate(pieces):
+        if rest.size == 0:
+            break
+        hit = piece.contains(rows[rest])
+        idx[rest[hit]] = k
+        rest = rest[~hit]
+    return idx.reshape(x.shape[:-1])
+
+
+def apply_reference(m, x, pieces):
+    idx = locate_reference(m, x, pieces).reshape(-1)
+    rows = x.reshape(-1, m.dim)
+    out = rows.copy()
+    for k, piece in enumerate(pieces):
+        sel = idx == k
+        if sel.any():
+            out[sel] = piece.apply(rows[sel])
+    return out.reshape(x.shape)
+
+
+def piece_name_reference(m, x):
+    names = np.array([p.name for p in m.pieces] + ["identity"])
+    return names[locate_reference(m, np.asarray(x, dtype=float), m.pieces)]
+
+
+def placement_points(m, rng):
+    """Boundary-sampler points, the bbox corners and uniform points around
+    the bbox, each with its +-1e-6 stencil."""
+    lo, hi = m.bbox
+    base = np.concatenate([
+        np.asarray(m.boundary_sampler(rng, 80), dtype=float).reshape(-1, m.dim),
+        np.array(list(itertools.product(*zip(lo, hi))), dtype=float),
+        lo - 0.25 * (hi - lo) + rng.uniform(size=(40, m.dim)) * 1.5 * (hi - lo),
+    ])
+    steps = 1e-6 * np.eye(m.dim)
+    return np.concatenate([base] + [base + e for e in steps] + [base - e for e in steps])
+
+
+@pytest.mark.parametrize("name", list(strat_constructors()) + ["identity_scaling",
+                                                               "identity_winding"])
+def test_placement_equals_the_locate_then_apply_reference(name, monkeypatch):
+    identities = {
+        "identity_scaling": scaling_map(EuclideanGauge(3), 1.0, 0.1),
+        "identity_winding": winding_map([], [], [0.25], 0.3, 0.6),
+    }
+    m = identities[name] if name in identities else strat_constructors()[name]
+    rng = np.random.default_rng(43)
+    for mm in (m, m.inverted()):
+        pts = placement_points(mm, rng)
+        if name.startswith("scaling"):
+            # the sampled points miss the shared levels by rounding; these
+            # axis points lie on them exactly
+            levels = (1.0, mm.params["lam"])
+            pts = np.concatenate([pts] + [s * r * np.eye(mm.dim) for r in levels
+                                          for s in (1.0, -1.0)])
+        calls = [pts, pts[None]] + list(pts[::97])
+        got = [(mm.forward(c), mm.inverse(c), mm.piece_name(c)) for c in calls]
+        # a composite's factors are placed by the reference too
+        with monkeypatch.context() as mp:
+            mp.setattr(stratmaps.StratMap, "forward",
+                       lambda self, x: apply_reference(self, np.asarray(x, dtype=float),
+                                                       self.pieces))
+            mp.setattr(stratmaps.StratMap, "inverse",
+                       lambda self, y: apply_reference(self, np.asarray(y, dtype=float),
+                                                       self.inv_pieces))
+            mp.setattr(stratmaps.StratMap, "piece_name", piece_name_reference)
+            want = [(mm.forward(c), mm.inverse(c), mm.piece_name(c)) for c in calls]
+        for got_c, want_c in zip(got, want):
+            for g, w in zip(got_c, want_c):
+                assert np.shape(g) == np.shape(w)
+                assert np.asarray(g).dtype.kind == np.asarray(w).dtype.kind
+                assert np.array_equal(g, w)
+        names = mm.piece_name(pts)
+        if mm.pieces:
+            assert (names != "identity").any() and (names == "identity").any()
+        if len(mm.pieces) > 1:
+            # rows on shared closed boundaries, where the first match decides
+            assert (sum(p.contains(pts).astype(int) for p in mm.pieces) > 1).any()
+
+
+def scaling_sampler_reference(gauge, dim, shell_hi):
+    def boundary_sampler(rng, count):
+        pts = []
+        for _ in range(count):
+            d = rng.normal(size=dim)
+            level = 1.0 if rng.integers(2) else shell_hi
+            pts.append(gauge.support_point(d, level))
+        return pts
+
+    return boundary_sampler
+
+
+def rotation_sampler_reference(dim, r1, r2):
+    def boundary_sampler(rng, count):
+        pts = []
+        for _ in range(count):
+            d = rng.normal(size=dim)
+            d /= np.linalg.norm(d)
+            pts.append(d * (r2 if rng.integers(2) else r1))
+        return pts
+
+    return boundary_sampler
+
+
+def test_shared_level_sampler_equals_the_two_samplers_it_replaced():
+    simplex = SimplexGauge([(1.2, 0.1), (-0.8, 1.0), (-0.5, -1.1)])
+    cases = [
+        (scaling_map(EuclideanGauge(3), 2.0, 0.1),
+         scaling_sampler_reference(EuclideanGauge(3), 3, 1.1 * 2.0)),
+        (scaling_map(EuclideanGauge(3), 0.4, 0.2),
+         scaling_sampler_reference(EuclideanGauge(3), 3, 1.2)),
+        (scaling_map(simplex, 1.5, 0.2), scaling_sampler_reference(simplex, 2, 1.2 * 1.5)),
+        (rotation_map(so_generator(3, 1.1), 2.0, 1.0), rotation_sampler_reference(3, 2.0, 1.0)),
+        (rotation_map(so_generator(4, 0.6, 1, 3), 1.5, 0.5),
+         rotation_sampler_reference(4, 1.5, 0.5)),
+    ]
+    for m, ref in cases:
+        for seed in (0, 17):
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = m.boundary_sampler(rng, 50), ref(rng_ref, 50)
+            assert len(got) == len(want) == 50
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            # the same draws in the same order: both streams end in one state
+            assert rng.random() == rng_ref.random()
 
 
 def test_gauges_on_batches_equal_one_point_values():
