@@ -36,7 +36,6 @@ __all__ = [
     "LieBasis",
     "identity",
     "u1_element",
-    "su2_element",
     "torus_element",
     "exp_alg",
     "haar_sample",
@@ -147,10 +146,6 @@ def identity(group: str) -> GroupElement:
 
 def u1_element(theta: float) -> GroupElement:
     return GroupElement("u1", np.array([[np.exp(1j * theta)]]))
-
-
-def su2_element(matrix: np.ndarray) -> GroupElement:
-    return GroupElement("su2", matrix)
 
 
 def torus_element(group: str, theta: float) -> GroupElement:

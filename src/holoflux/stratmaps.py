@@ -22,6 +22,11 @@ families implemented:
   y-bumps steering prescribed parameters of the x-axis through prescribed
   surface strips with alternating signs.
 
+Break loci are declared data: a level set of a maximum of linear forms (one
+form gives a plane) or of a Euclidean norm over some coordinates.  Along a
+segment a + s (b - a) the first is piecewise linear in s and the second
+quadratic, so ``path_break_params`` solves for the crossings in closed form.
+
 ``verify_stratified`` checks every output: piece formulas agree on shared
 boundaries, forward/inverse roundtrips, exact identity outside the support,
 and nonsingular per-piece Jacobians on samples.
@@ -30,7 +35,7 @@ Everything here is array-native over the last axis.  A point argument ``X``
 is one point of shape (dim,) or a batch of shape (..., dim).  A piece's
 ``contains(X)`` returns a boolean mask of shape ``X.shape[:-1]`` and its
 ``apply(X)`` the mapped points, of the shape of ``X``; gauges, ``in_support``
-and break functions return values or masks of shape ``X.shape[:-1]``.  The
+and break loci return values or masks of shape ``X.shape[:-1]``.  The
 map methods (``forward``, ``inverse``, ``piece_name``, ``pieces_at``,
 ``path_break_params``) follow the same rule, so one call maps a whole batch,
 and each row of a batch gets bit for bit what the row alone would get.
@@ -102,6 +107,67 @@ def _scale_rows(coef, x) -> np.ndarray:
     return np.expand_dims(np.asarray(coef, dtype=float), -1) * x
 
 
+def _open_roots(s: np.ndarray):
+    """(segment index, root) arrays of the candidate roots s, shape (S, m),
+    that lie in the open interval (0, 1); NaN or an infinity marks none."""
+    seg, j = np.nonzero((1e-12 < s) & (s < 1 - 1e-12))
+    return seg, s[seg, j]
+
+
+@dataclass(frozen=True, eq=False)
+class _MaxLevel:
+    """The locus max_i <forms[i], x> = level, a plane for one form; on
+    points it gives max_i <forms[i], x> - level."""
+
+    forms: np.ndarray  # (k, dim)
+    level: float
+
+    def __call__(self, x) -> np.ndarray:
+        return np.max(_matvec(self.forms, x), axis=-1) - self.level
+
+    def roots(self, starts: np.ndarray, ends: np.ndarray):
+        """(segment index, s) arrays of the crossings of every segment.  Each
+        form minus the level is alpha + s beta along a segment; the s where
+        all are <= 0 make one interval, whose finite ends are the roots of
+        the forms that attain the max there."""
+        alpha = _matvec(self.forms, starts) - self.level
+        beta = _matvec(self.forms, ends - starts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = -alpha / beta
+        lo = np.max(np.where(beta < 0, s, -np.inf), axis=-1)
+        hi = np.min(np.where(beta > 0, s, np.inf), axis=-1)
+        # a form constant along the segment bounds nothing, or empties the set
+        crossed = (lo < hi) & ~np.any((beta == 0) & (alpha > 0), axis=-1)
+        return _open_roots(np.where(crossed[:, None], np.stack([lo, hi], axis=-1), np.nan))
+
+
+@dataclass(frozen=True, eq=False)
+class _NormLevel:
+    """The locus |x[axes]| = radius, a sphere or a cylinder; on points it
+    gives |x[axes]| - radius."""
+
+    axes: tuple
+    radius: float
+
+    def __call__(self, x) -> np.ndarray:
+        return _row_norm(np.asarray(x, dtype=float)[..., self.axes]) - self.radius
+
+    def roots(self, starts: np.ndarray, ends: np.ndarray):
+        """(segment index, s) arrays of the strict crossings of every segment,
+        the roots of A s^2 + 2 B s + C = 0 when B^2 - A C > 0 (by the stable
+        quadratic formula)."""
+        a = starts[:, self.axes]
+        d = ends[:, self.axes] - a
+        A = np.sum(d * d, axis=-1)
+        B = np.sum(a * d, axis=-1)
+        C = np.sum(a * a, axis=-1) - self.radius ** 2
+        disc = B * B - A * C
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -(B + np.copysign(np.sqrt(disc), B))
+            s = np.stack([q / A, C / q], axis=-1)
+        return _open_roots(np.where((disc > 0)[:, None], s, np.nan))
+
+
 @dataclass
 class Piece:
     name: str
@@ -119,7 +185,7 @@ class StratMap:
     in_support: Callable            # strict interior of the moving region, as a mask
     bbox: tuple                     # (lo, hi) arrays enclosing the support
     boundary_sampler: Callable      # (rng, count) -> list of boundary points
-    break_functions: list = field(default_factory=list)  # g(points) = 0 loci
+    break_functions: list = field(default_factory=list)  # loci with closed-form roots
     family: str = ""
     params: dict = field(default_factory=dict)
 
@@ -202,39 +268,12 @@ class StratMap:
         b = np.asarray(b, dtype=float)
         starts, ends = a.reshape(-1, self.dim), b.reshape(-1, self.dim)
         found = [set() for _ in starts]
-        for g in self.break_functions:
-            for i, s in _segment_roots(g, starts, ends):
-                found[i].add(s)
+        for locus in self.break_functions:
+            seg, s = locus.roots(starts, ends)
+            for i, v in zip(seg.tolist(), s.tolist()):
+                found[i].add(v)
         out = [sorted(f) for f in found]
         return out if a.ndim > 1 else out[0]
-
-
-def _segment_roots(g: Callable, starts: np.ndarray, ends: np.ndarray, grid: int = 128):
-    """Approximate zeros of s -> g(a + s (b - a)) on [0, 1] for every
-    segment (a, b) of the (S, dim) arrays starts and ends: one grid scan of
-    all segments, then bisection of each sign change.  Returns (segment
-    index, root) pairs."""
-    svals = np.linspace(0.0, 1.0, grid + 1)
-    steps = ends - starts
-    fvals = g(starts[:, None, :] + svals[:, None] * steps[:, None, :])
-    fa, fb = fvals[:, :-1], fvals[:, 1:]
-    inner = (0 < svals[:-1]) & (svals[:-1] < 1)
-    seg, i = np.nonzero((fa == 0.0) & inner)
-    roots = list(zip(seg.tolist(), svals[i]))
-    for k, i in zip(*np.nonzero(fa * fb < 0)):
-        a, step = starts[k], steps[k]
-        lo, hi, flo = svals[i], svals[i + 1], fa[k, i]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = g(a + mid * step)
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        r = 0.5 * (lo + hi)
-        if 1e-12 < r < 1 - 1e-12:
-            roots.append((int(k), r))
-    return roots
 
 
 def _through(x, maps):
@@ -394,6 +433,10 @@ class EuclideanGauge:
     def bounding_radius(self, level: float) -> float:
         return self.radius * level
 
+    def locus(self, level: float) -> _NormLevel:
+        """The level set p = level, the sphere of radius radius * level."""
+        return _NormLevel(tuple(range(self.dim)), self.radius * level)
+
 
 class SimplexGauge:
     """Gauge of a simplex (or any polytope) with 0 in its interior.
@@ -436,6 +479,10 @@ class SimplexGauge:
 
     def bounding_radius(self, level: float) -> float:
         return float(np.max(np.linalg.norm(self.vertices, axis=1))) * level
+
+    def locus(self, level: float) -> _MaxLevel:
+        """The level set p = level."""
+        return _MaxLevel(self.facets, level)
 
 
 def _orthogonal_complement(span: np.ndarray) -> np.ndarray:
@@ -627,10 +674,6 @@ def scaling_map(gauge, lam: float, eps: float) -> StratMap:
         qp.inverse,
     )
 
-    breaks = [
-        lambda pt: gauge(pt) - 1.0,
-        lambda pt: gauge(pt) - shell_hi,
-    ]
     return StratMap(
         dim=dim,
         pieces=[core, shell],
@@ -638,7 +681,7 @@ def scaling_map(gauge, lam: float, eps: float) -> StratMap:
         in_support=lambda x: gauge(x) < shell_hi,
         bbox=bbox,
         boundary_sampler=_level_sampler(gauge, 1.0, shell_hi),
-        break_functions=breaks,
+        break_functions=[gauge.locus(1.0), gauge.locus(shell_hi)],
         family="scaling",
         params={"lam": lam, "eps": eps},
     )
@@ -679,6 +722,7 @@ def rotation_map(x_gen: np.ndarray, r1: float, r2: float) -> StratMap:
 
         return apply
 
+    ball = EuclideanGauge(dim)
     core = Piece("core", lambda x: _row_norm(x) <= r2, lambda x: _matvec(full, x))
     annulus = Piece("annulus", lambda x: _between(_row_norm(x), r2, r1), annulus_map(1.0))
     inv_core = Piece("core", lambda y: _row_norm(y) <= r2, lambda y: _matvec(full_inv, y))
@@ -690,11 +734,8 @@ def rotation_map(x_gen: np.ndarray, r1: float, r2: float) -> StratMap:
         inv_pieces=[inv_core, inv_annulus],
         in_support=lambda x: _row_norm(x) < r1,
         bbox=(-r1 * np.ones(dim), r1 * np.ones(dim)),
-        boundary_sampler=_level_sampler(EuclideanGauge(dim), r2, r1),
-        break_functions=[
-            lambda pt: _row_norm(pt) - r2,
-            lambda pt: _row_norm(pt) - r1,
-        ],
+        boundary_sampler=_level_sampler(ball, r2, r1),
+        break_functions=[ball.locus(r2), ball.locus(r1)],
         family="rotation",
         params={"r1": r1, "r2": r2},
     )
@@ -894,18 +935,11 @@ def bump_map(tau1: float, tau2: float, eps: float, a: float, n: int,
             pts.append(pt)
         return pts
 
-    breaks = [
-        (lambda c: (lambda pt: pt[..., axis_x] - c))(c)
-        for c in (x_lo, tau1 + eps, tau2 - eps, x_hi)
-    ] + [
-        (lambda c: (lambda pt: yval(pt) - c))(c)
-        for c in (y_bot, -eps, eps, y_top)
-    ]
+    x_form, y_form = np.eye(n)[[axis_x]], sign * np.eye(n)[[axis_y]]
+    breaks = ([_MaxLevel(x_form, c) for c in (x_lo, tau1 + eps, tau2 - eps, x_hi)]
+              + [_MaxLevel(y_form, c) for c in (y_bot, -eps, eps, y_top)])
     if z_axes:
-        breaks += [
-            (lambda c: (lambda pt: z_radius(pt) - c))(c)
-            for c in (z_core, z_outer)
-        ]
+        breaks += [_NormLevel(tuple(z_axes), c) for c in (z_core, z_outer)]
 
     return StratMap(
         dim=n,

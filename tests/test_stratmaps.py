@@ -820,24 +820,40 @@ def segment_roots_reference(f, grid=128):
     return roots
 
 
-def break_params_reference(factors, a, b):
-    """Breaks of a composition along [a, b]: the first factor's roots by the
-    scalar scan, then the remaining factors on the image of each piece."""
+def scan_roots(m, a, b, grid=128):
+    """The roots of every break locus of m along [a, b], by the scalar scan."""
+    return {r for g in m.break_functions
+            for r in segment_roots_reference(lambda s: g(a + s * (b - a)), grid)}
+
+
+def closed_form_roots(m, a, b):
+    """The break parameters of m along [a, b], as the map solves them."""
+    return m.path_break_params(a, b)
+
+
+def break_params_reference(factors, a, b, roots=scan_roots):
+    """Breaks of a composition along [a, b]: the first factor's roots, then
+    the remaining factors on the image of each piece."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    roots = {r for g in factors[0].break_functions
-             for r in segment_roots_reference(lambda s: g(a + s * (b - a)))}
-    svals = sorted(roots | {0.0, 1.0})
+    svals = sorted(set(roots(factors[0], a, b)) | {0.0, 1.0})
     out = {s for s in svals if 0 < s < 1}
     if len(factors) > 1:
         for s0, s1 in zip(svals, svals[1:]):
             pa = factors[0].forward(a + s0 * (b - a))
             pb = factors[0].forward(a + s1 * (b - a))
-            out.update(s0 + u * (s1 - s0) for u in break_params_reference(factors[1:], pa, pb))
+            out.update(s0 + u * (s1 - s0)
+                       for u in break_params_reference(factors[1:], pa, pb, roots))
     return sorted(out)
 
 
-@pytest.mark.parametrize("crossings", [2, 4])
-def test_winding_breaks_match_scalar_scan(crossings, monkeypatch):
+def assert_roots_close(got, want):
+    """Equal counts and every root within 1e-12 of the reference's."""
+    assert len(got) == len(want)
+    assert np.max(np.abs(np.subtract(got, want)), initial=0.0) <= 1e-12
+
+
+def winding_cases(crossings, monkeypatch):
+    """(map, factors, starts, ends) for three seeded winding maps."""
     composed = []
     real_compose = stratmaps.compose
     monkeypatch.setattr(stratmaps, "compose",
@@ -850,15 +866,128 @@ def test_winding_breaks_match_scalar_scan(crossings, monkeypatch):
             taus.append(taus[-1] + float(rng.uniform(0.9, 1.1)))
         levels = [int(v) for v in rng.permutation([0, 1] * (crossings // 2))]
         m = winding_map(taus, levels, [0.0, 0.45], eps, float(rng.uniform(0.5, 0.6)))
-        factors = composed[-1]
         starts = np.array([[taus[0] - 1.0, 0.0, 0.0], [taus[0], 0.0, 0.0], [0.0, -0.1, 0.05]])
         ends = np.array([[taus[-1] + 1.0, 0.0, 0.0], [taus[-1], 0.3, 0.1], [taus[-1], 0.2, -0.05]])
+        yield m, composed[-1], starts, ends
+
+
+@pytest.mark.parametrize("crossings", [2, 4])
+def test_winding_breaks_window_the_factor_breaks_exactly(crossings, monkeypatch):
+    for m, factors, starts, ends in winding_cases(crossings, monkeypatch):
         batch = m.path_break_params(starts, ends)
         for a, b, got in zip(starts, ends, batch):
-            want = break_params_reference(factors, a, b)
+            want = break_params_reference(factors, a, b, closed_form_roots)
             assert len(want) >= 2 * crossings
             assert got == want
             assert m.path_break_params(a, b) == want
+
+
+@pytest.mark.parametrize("crossings", [2, 4])
+def test_winding_breaks_match_scalar_scan(crossings, monkeypatch):
+    for m, factors, starts, ends in winding_cases(crossings, monkeypatch):
+        for a, b, got in zip(starts, ends, m.path_break_params(starts, ends)):
+            want = break_params_reference(factors, a, b)
+            assert len(want) >= 2 * crossings
+            assert_roots_close(got, want)
+
+
+def locus_kinds():
+    """(dimension, break locus) pairs of each kind, from the constructors."""
+    def loci(m, which=slice(None)):
+        return [(m.dim, g) for g in m.break_functions[which]]
+
+    simplex3 = SimplexGauge([(1.1, 0.2, -0.4), (-0.7, 1.0, -0.3), (-0.4, -0.9, -0.35),
+                             (0.1, 0.1, 1.2)])
+    bump3 = bump_map(-1.0, 1.0, 0.25, 0.8, 3)
+    return {
+        "plane": loci(bump3, slice(8))
+        + loci(bump_map(-1.0, 1.0, 0.25, 0.8, 3, axis_y=2, sign=-1.0), slice(8)),
+        "max_of_forms_2d": loci(scaling_map(
+            SimplexGauge([(1.2, 0.1), (-0.8, 1.0), (-0.5, -1.1)]), 1.5, 0.2)),
+        "max_of_forms_3d": loci(scaling_map(simplex3, 0.6, 0.3)),
+        "norm_all_axes": loci(rotation_map(so_generator(3, 1.1), 2.0, 1.0))
+        + loci(scaling_map(EuclideanGauge(3), 2.0, 0.1)),
+        "norm_z_axes": loci(bump3, slice(8, None))
+        + loci(bump_map(-1.0, 1.0, 0.25, 0.8, 4), slice(8, None)),
+    }
+
+
+@pytest.mark.parametrize("kind", list(locus_kinds()))
+def test_closed_form_roots_match_scalar_scan(kind):
+    rng = np.random.default_rng(61)
+    compared = 0
+    for dim, g in locus_kinds()[kind]:
+        starts = rng.uniform(-2.0, 2.0, size=(60, dim))
+        ends = rng.uniform(-2.0, 2.0, size=(60, dim))
+        seg, roots = g.roots(starts, ends)
+        for i, (a, b) in enumerate(zip(starts, ends)):
+            got = sorted(roots[seg == i])
+            want = segment_roots_reference(lambda s: g(a + s * (b - a)))
+            if any(np.any(np.diff(r) <= 1 / 128) for r in (got, want)):
+                # two roots in one grid cell are beyond the scan: rescan on a
+                # grid 64 times finer
+                want = segment_roots_reference(lambda s: g(a + s * (b - a)), 128 * 64)
+            assert_roots_close(got, want)
+            compared += len(want)
+    assert compared >= 60
+
+
+def test_a_form_constant_along_a_segment_bounds_it_or_empties_it():
+    # facets -y = 1, -x = 1 and x + y = 1
+    (g, _) = scaling_map(SimplexGauge([(-1, -1), (2, -1), (-1, 2)]), 1.5, 0.2).break_functions
+    starts = np.array([[-3.0, -2.0], [-3.0, 0.0], [-3.0, -1.0]])
+    ends = np.array([[3.0, -2.0], [3.0, 0.0], [3.0, -1.0]])
+    seg, roots = g.roots(starts, ends)
+    # parallel to the facet y = -1 outside it, then inside it: the scan's roots
+    for i in (0, 1):
+        want = segment_roots_reference(lambda s: g(starts[i] + s * (ends[i] - starts[i])))
+        assert_roots_close(sorted(roots[seg == i]), want)
+    assert len(want) == 2
+    # along the facet: where the segment enters and leaves the level set
+    assert_roots_close(sorted(roots[seg == 2]), [1 / 3, 5 / 6])
+
+
+def test_two_crossings_inside_one_grid_cell_are_found():
+    m = rotation_map(so_generator(3, 1.1), 2.0, 1.0)
+    a, b = np.array([-10.0, 0.99999, 0.0]), np.array([12.0, 0.99999, 0.0])
+    got = m.path_break_params(a, b)
+    # the r2 = 1 sphere is crossed at s ~ 0.45434 and 0.45475, inside one
+    # 1/128 cell, so the reference scans a grid 64 times finer
+    want = sorted(scan_roots(m, a, b, 128 * 64))
+    assert len(want) == 4
+    assert want[2] - want[1] < 1 / 128
+    assert_roots_close(got, want)
+
+
+def test_a_segment_tangent_to_a_sphere_gets_no_break_there():
+    m = rotation_map(so_generator(3, 1.1), 2.0, 1.0)
+    # touches the r2 = 1 sphere at s = 1/2 and crosses the r1 = 2 sphere
+    # where x^2 = 3
+    got = m.path_break_params(np.array([-2.0, 1.0, 0.0]), np.array([2.0, 1.0, 0.0]))
+    assert_roots_close(got, [(2 - math.sqrt(3)) / 4, (2 + math.sqrt(3)) / 4])
+
+
+def test_segment_inside_a_break_locus_gets_no_breaks_from_it():
+    m = bump_map(-1.0, 1.0, 0.25, 0.8, 3)
+    # the segment lies in the row plane y = eps, where the scan finds a root
+    # at every grid node
+    a, b = np.array([-2.0, 0.25, 0.1]), np.array([2.0, 0.25, -0.1])
+    assert m.path_break_params(a, b) == [0.1875, 0.3125, 0.6875, 0.8125]
+    image = map_path(m, PolyPath([a, b]))
+    assert len(image.vertices) == 6
+    # the same curve as the image split at the scan's 127 breaks: its
+    # vertices are among that polyline's, whose vertices all lie on it
+    scanned = sorted(scan_roots(m, a, b))
+    assert len(scanned) == 127
+    pts = m.forward(np.array([a] + [a + s * (b - a) for s in scanned] + [b]))
+    reference = PolyPath(pts, validate=False)
+    assert len(reference.vertices) == 92
+    assert set(image.vertices) <= set(reference.vertices)
+    verts = np.array([pt_float(v) for v in image.vertices])
+    for p in map(pt_float, reference.vertices):
+        d = verts[1:] - verts[:-1]
+        t = np.clip(np.sum((p - verts[:-1]) * d, axis=-1) / np.sum(d * d, axis=-1), 0.0, 1.0)
+        assert np.min(np.linalg.norm(verts[:-1] + t[:, None] * d - p, axis=-1)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ["winding_j2", "composite"])
