@@ -24,8 +24,8 @@ paths, surfaces and affine maps from their public fields in the loaded
 module, and makes the call again.  Stratified maps (``map_path`` in
 ``strat-certify``) are passed to the replayed call as they are: the replay
 hands OLD_SRC's stratified map to NEW_SRC's ``geometry.py``, so it does not
-gate a change to ``stratmaps``; the reference tests in
-``tests/test_stratmaps.py`` do.
+gate a change to ``stratmaps``; ``scripts/replay_stratmaps.py`` and the
+reference tests in ``tests/test_stratmaps.py`` do.
 
 Inputs must rebuild to the recorded ones, compared on the fields a
 dataclass takes at construction; fields it derives (such as a simplex's

@@ -328,10 +328,6 @@ class PolyPath:
                 return i, Fraction(min(max(s, 0.0), 1.0))
         raise GeometryError("parameter lookup failed")
 
-    def point_at(self, t: float) -> Point:
-        i, s = self.locate(t)
-        return _lerp(self.vertices[i], self.vertices[i + 1], s)
-
     def param_of(self, seg: int, s: Fraction) -> float:
         lo, hi = self._cum[seg], self._cum[seg + 1]
         return lo + float(s) * (hi - lo)

@@ -1,10 +1,10 @@
 """Explicit constructors for localized stratified diffeomorphisms of R^n.
 
-Each constructor returns a :class:`StratMap`: a piece list of (closed-region
-predicate, closed-form forward map) together with the matching inverse
-pieces, the support region outside which the map is exactly the identity,
-and enough metadata to pre-split PL paths at the piece boundaries.  The
-families implemented:
+Each constructor returns a :class:`StratMap`: a piece list of (name,
+closed-form forward map) and the matching inverse pieces, one vectorized
+mask of the pieces' closed regions per side, the support region outside
+which the map is exactly the identity, and enough metadata to pre-split PL
+paths at the piece boundaries.  The families implemented:
 
 * ``radial_piece`` -- x -> (a + b/p)(x) x with inverse (1/a)(1 - b/p)(x) x
   for homogeneous p and ray-constant a, b (half-ray preserving).
@@ -33,16 +33,18 @@ and nonsingular per-piece Jacobians on samples.
 
 Everything here is array-native over the last axis.  A point argument ``X``
 is one point of shape (dim,) or a batch of shape (..., dim).  A piece's
-``contains(X)`` returns a boolean mask of shape ``X.shape[:-1]`` and its
-``apply(X)`` the mapped points, of the shape of ``X``; gauges, ``in_support``
-and break loci return values or masks of shape ``X.shape[:-1]``.  The
-map methods (``forward``, ``inverse``, ``piece_name``, ``pieces_at``,
-``path_break_params``) follow the same rule, so one call maps a whole batch,
-and each row of a batch gets bit for bit what the row alone would get.
-``forward``, ``inverse`` and ``piece_name`` place each row in one sweep over
-the pieces: the first piece whose closed region holds a row claims it, a row
-outside the bbox closure or claimed by none keeps its exact value, and the
-sweep stops once every row is placed.
+``apply(X)`` returns the mapped points, of the shape of ``X``; a map's
+``regions(X)`` (and ``inv_regions`` on the image side) returns one boolean
+mask of shape ``X.shape[:-1] + (K,)`` whose column k is the closed region of
+piece k; gauges, ``in_support`` and break loci return values or masks of
+shape ``X.shape[:-1]``.  The map methods (``forward``, ``inverse``,
+``piece_name``, ``pieces_at``, ``path_break_params``) follow the same rule,
+so one call maps a whole batch, and each row of a batch gets bit for bit
+what the row alone would get.  ``forward``, ``inverse`` and ``piece_name``
+place the rows with one region mask: the first piece whose closed region
+holds a row claims it, and a row outside the bbox closure or claimed by none
+keeps its exact value.  Pieces that share one formula map all their rows in
+one call.
 """
 
 from __future__ import annotations
@@ -100,6 +102,28 @@ def _nowhere(x) -> np.ndarray:
 
 def _everywhere(x) -> np.ndarray:
     return np.ones(np.shape(x)[:-1], dtype=bool)
+
+
+def _whole_space(x) -> np.ndarray:
+    """The region mask of one piece that is all of R^dim."""
+    return _everywhere(x)[..., None]
+
+
+def _no_regions(x) -> np.ndarray:
+    """The region mask of no pieces."""
+    return np.zeros(np.shape(x)[:-1] + (0,), dtype=bool)
+
+
+def _intervals(v, edges) -> np.ndarray:
+    """The mask of the closed intervals between consecutive edges, one
+    column each, for values v of shape (...)."""
+    return np.stack([_between(v, lo, hi) for lo, hi in zip(edges, edges[1:])], axis=-1)
+
+
+def _core_and_shell(value, inner: float, outer: float) -> np.ndarray:
+    """The region mask of a core {value <= inner} and a shell {inner <=
+    value <= outer}, for values of shape (...) of one gauge or norm."""
+    return np.stack([value <= inner, _between(value, inner, outer)], axis=-1)
 
 
 def _scale_rows(coef, x) -> np.ndarray:
@@ -171,7 +195,6 @@ class _NormLevel:
 @dataclass
 class Piece:
     name: str
-    contains: Callable  # closed-region membership, (..., dim) -> (...) mask
     apply: Callable     # closed-form map, (..., dim) -> (..., dim)
 
 
@@ -182,6 +205,8 @@ class StratMap:
     dim: int
     pieces: list
     inv_pieces: list
+    regions: Callable               # (..., dim) -> (..., K) mask; column k: pieces[k]'s region
+    inv_regions: Callable           # the same for inv_pieces, on the image side
     in_support: Callable            # strict interior of the moving region, as a mask
     bbox: tuple                     # (lo, hi) arrays enclosing the support
     boundary_sampler: Callable      # (rng, count) -> list of boundary points
@@ -190,31 +215,34 @@ class StratMap:
     params: dict = field(default_factory=dict)
 
     def forward(self, x) -> np.ndarray:
-        return self._apply(np.asarray(x, dtype=float), self.pieces)
+        return self._apply(np.asarray(x, dtype=float), self.pieces, self.regions)
 
     def inverse(self, y) -> np.ndarray:
-        return self._apply(np.asarray(y, dtype=float), self.inv_pieces)
+        return self._apply(np.asarray(y, dtype=float), self.inv_pieces, self.inv_regions)
 
-    def _sweep(self, rows: np.ndarray, pieces: list):
-        """(k, ascending indices of the rows piece k claims first) for each
-        piece that claims a row, until every row in the bbox closure is
-        placed; rows outside it or claimed by no piece are never yielded."""
+    def _sweep(self, rows: np.ndarray, regions: Callable):
+        """(ascending indices of the rows in the bbox closure, the first piece
+        whose closed region holds each of them, or K where none does)."""
         rest = np.flatnonzero(self.in_support_closure(rows))
-        for k, piece in enumerate(pieces):
-            if rest.size == 0:
-                return
-            hit = piece.contains(rows[rest])
-            if hit.any():
-                yield k, rest[hit]
-                rest = rest[~hit]
+        mask = regions(rows[rest])
+        # an all-true last column marks the rows no piece claims
+        unclaimed = np.ones((len(rest), 1), dtype=bool)
+        return rest, np.argmax(np.concatenate([mask, unclaimed], axis=1), axis=1)
 
-    def _apply(self, x: np.ndarray, pieces: list) -> np.ndarray:
+    def _apply(self, x: np.ndarray, pieces: list, regions: Callable) -> np.ndarray:
         """Each row mapped by the first piece that claims it; unclaimed rows
-        keep their exact input values."""
+        keep their exact input values.  The rows of every piece sharing one
+        formula are mapped in one call (each formula acts row by row)."""
         rows = x.reshape(-1, self.dim)
         out = rows.copy()
-        for k, sel in self._sweep(rows, pieces):
-            out[sel] = pieces[k].apply(rows[sel])
+        rest, first = self._sweep(rows, regions)
+        formulas = {}  # apply -> its index, in order of first use
+        which = np.array([formulas.setdefault(p.apply, len(formulas)) for p in pieces]
+                         + [len(formulas)])[first]
+        for apply, j in formulas.items():
+            sel = rest[which == j]
+            if sel.size:
+                out[sel] = apply(rows[sel])
         return out.reshape(x.shape)
 
     def in_support_closure(self, x) -> np.ndarray:
@@ -226,9 +254,10 @@ class StratMap:
         holds and its formula there (NaN elsewhere), plus the identity on
         the rows not strictly inside the support."""
         x = np.asarray(x, dtype=float)
+        regions = self.regions(x)
         out = []
-        for p in self.pieces:
-            mask = p.contains(x)
+        for k, p in enumerate(self.pieces):
+            mask = regions[..., k]
             vals = np.full_like(x, np.nan)
             vals[mask] = p.apply(x[mask])
             out.append((mask, vals))
@@ -242,8 +271,8 @@ class StratMap:
         rows = x.reshape(-1, self.dim)
         names = np.array([p.name for p in self.pieces] + ["identity"])
         idx = np.full(len(rows), len(self.pieces))
-        for k, sel in self._sweep(rows, self.pieces):
-            idx[sel] = k
+        rest, first = self._sweep(rows, self.regions)
+        idx[rest] = first
         return names[idx.reshape(x.shape[:-1])]
 
     def inverted(self) -> "StratMap":
@@ -251,6 +280,8 @@ class StratMap:
             dim=self.dim,
             pieces=self.inv_pieces,
             inv_pieces=self.pieces,
+            regions=self.inv_regions,
+            inv_regions=self.regions,
             in_support=self.in_support,
             bbox=self.bbox,
             boundary_sampler=self.boundary_sampler,
@@ -394,8 +425,10 @@ def compose(*maps: StratMap) -> StratMap:
 
     return _Composite(
         dim=dim,
-        pieces=[Piece("composite", _everywhere, fwd)],
-        inv_pieces=[Piece("composite-inverse", _everywhere, inv)],
+        pieces=[Piece("composite", fwd)],
+        inv_pieces=[Piece("composite-inverse", inv)],
+        regions=_whole_space,
+        inv_regions=_whole_space,
         in_support=in_support,
         bbox=(los, his),
         boundary_sampler=boundary_sampler,
@@ -407,7 +440,8 @@ def compose(*maps: StratMap) -> StratMap:
 
 def _identity_map(dim: int, bbox: tuple, family: str, params: dict) -> StratMap:
     """The identity of R^dim as a stratified map with no pieces."""
-    return StratMap(dim=dim, pieces=[], inv_pieces=[], in_support=_nowhere, bbox=bbox,
+    return StratMap(dim=dim, pieces=[], inv_pieces=[], regions=_no_regions,
+                    inv_regions=_no_regions, in_support=_nowhere, bbox=bbox,
                     boundary_sampler=lambda rng, count: [], family=family, params=params)
 
 
@@ -661,23 +695,15 @@ def scaling_map(gauge, lam: float, eps: float) -> StratMap:
 
     shell_hi = outer_level  # p0 value of the fixed outer boundary
 
-    core = Piece("core", lambda x: gauge(x) <= 1.0, lambda x: lam * np.asarray(x, dtype=float))
-    shell = Piece(
-        "shell",
-        lambda x: _between(gauge(x), 1.0, shell_hi),
-        qp.forward,
-    )
-    inv_core = Piece("core", lambda y: gauge(y) <= lam, lambda y: np.asarray(y, dtype=float) / lam)
-    inv_shell = Piece(
-        "shell",
-        lambda y: _between(gauge(y), lam, shell_hi),
-        qp.inverse,
-    )
+    core = Piece("core", lambda x: lam * np.asarray(x, dtype=float))
+    inv_core = Piece("core", lambda y: np.asarray(y, dtype=float) / lam)
 
     return StratMap(
         dim=dim,
-        pieces=[core, shell],
-        inv_pieces=[inv_core, inv_shell],
+        pieces=[core, Piece("shell", qp.forward)],
+        inv_pieces=[inv_core, Piece("shell", qp.inverse)],
+        regions=lambda x: _core_and_shell(gauge(x), 1.0, shell_hi),
+        inv_regions=lambda y: _core_and_shell(gauge(y), lam, shell_hi),
         in_support=lambda x: gauge(x) < shell_hi,
         bbox=bbox,
         boundary_sampler=_level_sampler(gauge, 1.0, shell_hi),
@@ -723,15 +749,17 @@ def rotation_map(x_gen: np.ndarray, r1: float, r2: float) -> StratMap:
         return apply
 
     ball = EuclideanGauge(dim)
-    core = Piece("core", lambda x: _row_norm(x) <= r2, lambda x: _matvec(full, x))
-    annulus = Piece("annulus", lambda x: _between(_row_norm(x), r2, r1), annulus_map(1.0))
-    inv_core = Piece("core", lambda y: _row_norm(y) <= r2, lambda y: _matvec(full_inv, y))
-    inv_annulus = Piece("annulus", lambda y: _between(_row_norm(y), r2, r1), annulus_map(-1.0))
+
+    def regions(x):
+        return _core_and_shell(_row_norm(x), r2, r1)
 
     return StratMap(
         dim=dim,
-        pieces=[core, annulus],
-        inv_pieces=[inv_core, inv_annulus],
+        pieces=[Piece("core", lambda x: _matvec(full, x)), Piece("annulus", annulus_map(1.0))],
+        inv_pieces=[Piece("core", lambda y: _matvec(full_inv, y)),
+                    Piece("annulus", annulus_map(-1.0))],
+        regions=regions,
+        inv_regions=regions,
         in_support=lambda x: _row_norm(x) < r1,
         bbox=(-r1 * np.ones(dim), r1 * np.ones(dim)),
         boundary_sampler=_level_sampler(ball, r2, r1),
@@ -793,10 +821,10 @@ def bump_map(tau1: float, tau2: float, eps: float, a: float, n: int,
         # squares summed coordinate by coordinate, as one point's sum would be
         return np.sqrt(sum(pt[..., i] ** 2 for i in z_axes))
 
-    def ring_falloff(pt):
+    def ring_falloff(zr):
         # cosine falloff from 1 at the core radius to 0 at the outer radius;
         # with the default radii (eps, 2 eps) this is (1 - cos(pi |z|/eps))/2
-        u = (z_radius(pt) - z_core) / (z_outer - z_core)
+        u = (zr - z_core) / (z_outer - z_core)
         return 0.5 * (1.0 + np.cos(math.pi * u))
 
     def yval(pt):
@@ -841,65 +869,42 @@ def bump_map(tau1: float, tau2: float, eps: float, a: float, n: int,
 
         return apply
 
-    col_ranges = [
-        ("left", x_lo, tau1 + eps),
-        ("mid", tau1 + eps, tau2 - eps),
-        ("right", tau2 - eps, x_hi),
-    ]
-    row_ranges = [
-        ("bottom", y_bot, -eps),
-        ("strip", -eps, eps),
-        ("top", eps, y_top),
-    ]
+    cols = ("left", "mid", "right")
+    rows = ("bottom", "strip", "top")
     if z_axes:
-        zone_ranges = [
-            ("zcore", 0.0, z_core, lambda pt: 1.0),
-            ("zring", z_core, z_outer, ring_falloff),
-        ]
+        zones = [("zcore", lambda pt: 1.0), ("zring", lambda pt: ring_falloff(z_radius(pt)))]
     else:
-        zone_ranges = [("planar", 0.0, 0.0, lambda pt: 1.0)]
+        zones = [("planar", lambda pt: 1.0)]
+    x_edges = (x_lo, tau1 + eps, tau2 - eps, x_hi)
 
-    def make_contains(c_lo, c_hi, row, r_lo, r_hi, z_lo, z_hi, zone_g,
-                      forward_side: bool):
-        def contains(pt):
-            x = pt[..., axis_x]
-            inside = _between(x, c_lo, c_hi)
-            if z_axes:
-                inside &= _between(z_radius(pt), z_lo, z_hi)
-            if not inside.any():
-                # most pieces miss most rows here: skip the row tests
-                return inside
-            y = yval(pt)
-            if forward_side:
-                return inside & _between(y, r_lo, r_hi)
-            # image-side row bounds: the strip edges travel with the lift,
-            # the box edges stay put
-            off = shift(x) * zone_g(pt)
-            lo = r_lo + off if row in ("strip", "top") else r_lo
-            hi = r_hi + off if row in ("bottom", "strip") else r_hi
-            return inside & _between(y, lo, hi)
+    def region_mask(pt, lifted: bool) -> np.ndarray:
+        """The pieces' closed regions in piece order, column x row x zone:
+        products of closed intervals of x, y and |z|.  On the image side
+        (lifted) the strip edges y = +-eps travel with the lift, whose zone
+        factor is 1 up to |z| = z_core, where the ring falloff is 1 too;
+        the box edges stay put."""
+        pt = np.asarray(pt, dtype=float)
+        x, y = pt[..., axis_x], yval(pt)
+        if z_axes:
+            zr = z_radius(pt)
+            zone = _intervals(zr, (0.0, z_core, z_outer))
+        else:
+            zone = np.ones(np.shape(x) + (1,), dtype=bool)
+        off = 0.0
+        if lifted:
+            off = shift(x) * (np.where(zone[..., 0], 1.0, ring_falloff(zr)) if z_axes else 1.0)
+        row = _intervals(y, (y_bot, -eps + off, eps + off, y_top))
+        mask = _intervals(x, x_edges)[..., :, None, None] & row[..., None, :, None] \
+            & zone[..., None, None, :]
+        return mask.reshape(np.shape(x) + (len(pieces),))
 
-        return contains
-
+    # six formulas (row x zone); shift(x) covers all three columns
+    formulas = {(r, z): (row_fwd(r, g), row_inv(r, g)) for r in rows for z, g in zones}
     pieces, inv_pieces = [], []
-    for cname, c_lo, c_hi in col_ranges:
-        for rname, r_lo, r_hi in row_ranges:
-            for zname, z_lo, z_hi, zone_g in zone_ranges:
-                name = f"{cname}-{rname}-{zname}"
-                pieces.append(
-                    Piece(
-                        name,
-                        make_contains(c_lo, c_hi, rname, r_lo, r_hi, z_lo, z_hi, zone_g, True),
-                        row_fwd(rname, zone_g),
-                    )
-                )
-                inv_pieces.append(
-                    Piece(
-                        name,
-                        make_contains(c_lo, c_hi, rname, r_lo, r_hi, z_lo, z_hi, zone_g, False),
-                        row_inv(rname, zone_g),
-                    )
-                )
+    for c, r, (z, _g) in itertools.product(cols, rows, zones):
+        fwd, inv = formulas[r, z]
+        pieces.append(Piece(f"{c}-{r}-{z}", fwd))
+        inv_pieces.append(Piece(f"{c}-{r}-{z}", inv))
 
     lo = np.full(n, -z_outer)
     hi = np.full(n, z_outer)
@@ -945,6 +950,8 @@ def bump_map(tau1: float, tau2: float, eps: float, a: float, n: int,
         dim=n,
         pieces=pieces,
         inv_pieces=inv_pieces,
+        regions=lambda pt: region_mask(pt, False),
+        inv_regions=lambda pt: region_mask(pt, True),
         in_support=in_support,
         bbox=(lo, hi),
         boundary_sampler=boundary_sampler,

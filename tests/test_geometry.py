@@ -92,9 +92,8 @@ def test_polypath_canonicalizes_collinear_vertices():
     assert p.same_geometry(q)
 
 
-def test_point_at_and_split():
+def test_split_at():
     p = PolyPath([(0, 0), (2, 0)])
-    assert p.point_at(0.5) == (Fraction(1), Fraction(0))
     a, b = p.split_at(0, Fraction(1, 2))
     assert a.vertices == ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
     assert b.vertices == ((Fraction(1), Fraction(0)), (Fraction(2), Fraction(0)))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -384,7 +385,6 @@ def test_bump_corrupted_piece_flagged():
     bad = m.pieces[0]
     corrupted = Piece(
         bad.name,
-        bad.contains,
         lambda pt: np.asarray(bad.apply(pt), dtype=float) + np.array([0.0, 1e-3, 0.0]),
     )
     m.pieces[0] = corrupted
@@ -402,8 +402,7 @@ def test_composite_boundary_check_compares_factor_pieces():
     # corrupted factor piece shows on the composite's boundary samples
     rot = rotation_map(so_generator(3, 0.9), 2.0, 1.0)
     bad = rot.pieces[0]
-    rot.pieces[0] = Piece(bad.name, bad.contains,
-                          lambda pt: bad.apply(pt) + np.array([0.0, 1e-3, 0.0]))
+    rot.pieces[0] = Piece(bad.name, lambda pt: bad.apply(pt) + np.array([0.0, 1e-3, 0.0]))
     comp = compose(rot, scaling_map(EuclideanGauge(3), 1.5, 0.2))
     rep = verify_stratified(comp, 500, np.random.default_rng(24))
     assert rep["boundary_max_mismatch"] >= 1e-4
@@ -580,25 +579,125 @@ def test_batch_equals_rows(name):
         assert np.array_equal(mm.forward(pts)[outside], pts[outside])
 
 
-# the locate-then-apply code that the one-sweep placement replaced, kept as
-# the reference it must match bit for bit
+# the per-piece closed-region predicates that the region masks replaced, and
+# the locate-then-apply code that placed rows with them, kept as the
+# reference the masks and the placement must match bit for bit
 
 
-def locate_reference(m, x, pieces):
+def between_reference(v, lo, hi):
+    return (lo <= v) & (v <= hi)
+
+
+def everywhere_reference(x):
+    return np.ones(np.shape(x)[:-1], dtype=bool)
+
+
+def bump_reference(p):
+    """(forward predicates, inverse predicates, lift) of bump_map(**p): one
+    predicate per piece in piece order, and the image-side offset of the
+    strip edges, the lift times the zone factor."""
+    tau1, tau2, eps, a, n = p["tau1"], p["tau2"], p["eps"], p["a"], p["n"]
+    axis_x, axis_y, sign = p["axis_x"], p["axis_y"], p["sign"]
+    z_core, z_outer = p["z_core"], p["z_outer"]
+    z_axes = [i for i in range(n) if i not in (axis_x, axis_y)]
+    x_lo, x_hi = tau1 - eps, tau2 + eps
+    y_bot, y_top = -2 * eps, 2 * a + 2 * eps
+    slope = a / eps
+
+    def shift(x):
+        return np.where((x <= x_lo) | (x >= x_hi), 0.0,
+                        np.where(x <= tau1 + eps, slope * (x - x_lo),
+                                 np.where(x >= tau2 - eps, slope * (x_hi - x), 2 * a)))
+
+    def z_radius(pt):
+        return np.sqrt(sum(pt[..., i] ** 2 for i in z_axes))
+
+    def ring_falloff(pt):
+        u = (z_radius(pt) - z_core) / (z_outer - z_core)
+        return 0.5 * (1.0 + np.cos(math.pi * u))
+
+    def yval(pt):
+        return sign * pt[..., axis_y]
+
+    col_ranges = [(x_lo, tau1 + eps), (tau1 + eps, tau2 - eps), (tau2 - eps, x_hi)]
+    row_ranges = [("bottom", y_bot, -eps), ("strip", -eps, eps), ("top", eps, y_top)]
+    if z_axes:
+        zone_ranges = [(0.0, z_core, lambda pt: 1.0), (z_core, z_outer, ring_falloff)]
+    else:
+        zone_ranges = [(0.0, 0.0, lambda pt: 1.0)]
+
+    def make_contains(c_lo, c_hi, row, r_lo, r_hi, z_lo, z_hi, zone_g, forward_side):
+        def contains(pt):
+            x = pt[..., axis_x]
+            inside = between_reference(x, c_lo, c_hi)
+            if z_axes:
+                inside &= between_reference(z_radius(pt), z_lo, z_hi)
+            if not inside.any():
+                return inside
+            y = yval(pt)
+            if forward_side:
+                return inside & between_reference(y, r_lo, r_hi)
+            off = shift(x) * zone_g(pt)
+            lo = r_lo + off if row in ("strip", "top") else r_lo
+            hi = r_hi + off if row in ("bottom", "strip") else r_hi
+            return inside & between_reference(y, lo, hi)
+
+        return contains
+
+    def lift(pt):
+        x = pt[..., axis_x]
+        if not z_axes:
+            return shift(x) * 1.0
+        return shift(x) * np.where(z_radius(pt) <= z_core, 1.0, ring_falloff(pt))
+
+    fwd, inv = [], []
+    for (c_lo, c_hi), (row, r_lo, r_hi), (z_lo, z_hi, zone_g) in itertools.product(
+            col_ranges, row_ranges, zone_ranges):
+        fwd.append(make_contains(c_lo, c_hi, row, r_lo, r_hi, z_lo, z_hi, zone_g, True))
+        inv.append(make_contains(c_lo, c_hi, row, r_lo, r_hi, z_lo, z_hi, zone_g, False))
+    return fwd, inv, lift
+
+
+def predicates_reference(m):
+    """(forward, inverse) per-piece closed-region predicates of m, whose
+    scaling gauges are Euclidean."""
+    if isinstance(m, stratmaps._Composite):
+        return [everywhere_reference], [everywhere_reference]
+    if not m.pieces:
+        return [], []
+    family, p = m.family, m.params
+    if family.startswith("inverse("):
+        fwd, inv = predicates_reference(dataclasses.replace(m, family=family[8:-1]))
+        return inv, fwd
+    if family == "bump":
+        return bump_reference(p)[:2]
+    if family == "scaling":
+        gauge, lam = EuclideanGauge(m.dim), p["lam"]
+        shell_hi = (1.0 + p["eps"]) * max(lam, 1.0)
+        return ([lambda x: gauge(x) <= 1.0, lambda x: between_reference(gauge(x), 1.0, shell_hi)],
+                [lambda y: gauge(y) <= lam, lambda y: between_reference(gauge(y), lam, shell_hi)])
+    assert family == "rotation"
+    r1, r2 = p["r1"], p["r2"]
+    preds = [lambda x: stratmaps._row_norm(x) <= r2,
+             lambda x: between_reference(stratmaps._row_norm(x), r2, r1)]
+    return preds, preds
+
+
+def locate_reference(m, x, predicates):
     rows = x.reshape(-1, m.dim)
     idx = np.full(len(rows), -1)
     rest = np.flatnonzero(m.in_support_closure(rows))
-    for k, piece in enumerate(pieces):
+    for k, contains in enumerate(predicates):
         if rest.size == 0:
             break
-        hit = piece.contains(rows[rest])
+        hit = contains(rows[rest])
         idx[rest[hit]] = k
         rest = rest[~hit]
     return idx.reshape(x.shape[:-1])
 
 
-def apply_reference(m, x, pieces):
-    idx = locate_reference(m, x, pieces).reshape(-1)
+def apply_reference(m, x, pieces, predicates):
+    idx = locate_reference(m, x, predicates).reshape(-1)
     rows = x.reshape(-1, m.dim)
     out = rows.copy()
     for k, piece in enumerate(pieces):
@@ -610,7 +709,7 @@ def apply_reference(m, x, pieces):
 
 def piece_name_reference(m, x):
     names = np.array([p.name for p in m.pieces] + ["identity"])
-    return names[locate_reference(m, np.asarray(x, dtype=float), m.pieces)]
+    return names[locate_reference(m, np.asarray(x, dtype=float), predicates_reference(m)[0])]
 
 
 def placement_points(m, rng):
@@ -626,6 +725,73 @@ def placement_points(m, rng):
     return np.concatenate([base] + [base + e for e in steps] + [base - e for e in steps])
 
 
+def shared_level_points(m, rng):
+    """Rows exactly on the levels that pieces of m share.  A bump (or its
+    inverse): every combination of a column edge, |z| = z_core or z_outer
+    and y = +-eps, +-eps + the image-side lift or a box edge.  A scaling or
+    rotation: axis points on each gauge or norm level."""
+    family = m.family[8:-1] if m.family.startswith("inverse(") else m.family
+    p = m.params
+    if family in ("scaling", "rotation"):
+        levels = (1.0, p["lam"], (1.0 + p["eps"]) * max(p["lam"], 1.0)) \
+            if family == "scaling" else (p["r2"], p["r1"])
+        return np.concatenate([s * r * np.eye(m.dim) for r in levels for s in (1.0, -1.0)])
+    if family != "bump":
+        return np.empty((0, m.dim))
+    tau1, tau2, eps, a = p["tau1"], p["tau2"], p["eps"], p["a"]
+    axis_x, axis_y, sign = p["axis_x"], p["axis_y"], p["sign"]
+    z_axes = [i for i in range(m.dim) if i not in (axis_x, axis_y)]
+    lift = bump_reference(p)[2]
+    lo, hi = m.bbox
+    base = lo + rng.uniform(size=(12, m.dim)) * (hi - lo)
+    x_levels = [None, tau1 - eps, tau1 + eps, tau2 - eps, tau2 + eps]
+    z_levels = [None, p["z_core"], p["z_outer"]] if z_axes else [None]
+    y_levels = [None, -eps, eps, -2 * eps, 2 * a + 2 * eps]
+    out = []
+    for xv, zv, yv, lifted in itertools.product(x_levels, z_levels, y_levels, (False, True)):
+        q = base.copy()
+        if xv is not None:
+            q[:, axis_x] = xv
+        if zv is not None:
+            q[:, z_axes] = 0.0
+            q[:, z_axes[int(rng.integers(len(z_axes)))]] = zv * rng.choice([-1.0, 1.0], len(q))
+        if yv is not None:
+            q[:, axis_y] = sign * (yv + lift(q) if lifted else yv)
+        out.append(q)
+    return np.concatenate(out)
+
+
+def region_mask_cases():
+    """The eight constructors, the factors of the winding map, a downward
+    tent in the (x, z) plane with custom radii, an identity, and every
+    inverse."""
+    maps = strat_constructors()
+    maps.update({f"winding_j2.factors[{i}]": f
+                 for i, f in enumerate(maps["winding_j2"].factors)})
+    maps["tent"] = bump_map(0.8875, 1.1125, 0.0375, 0.125, 3, axis_y=2, sign=-1.0,
+                            z_core=1.2, z_outer=2.4)
+    maps["identity_scaling"] = scaling_map(EuclideanGauge(3), 1.0, 0.1)
+    maps.update({f"inverse({name})": m.inverted() for name, m in list(maps.items())})
+    return maps
+
+
+@pytest.mark.parametrize("name", list(region_mask_cases()))
+def test_region_masks_equal_the_per_piece_predicates(name):
+    m = region_mask_cases()[name]
+    rng = np.random.default_rng(44)
+    pts = np.concatenate([placement_points(m, rng), shared_level_points(m, rng)])
+    for regions, preds in zip((m.regions, m.inv_regions), predicates_reference(m)):
+        mask = regions(pts)
+        assert mask.shape == (len(pts), len(preds))
+        for k, contains in enumerate(preds):
+            assert np.array_equal(mask[:, k], contains(pts)), k
+        assert np.array_equal(regions(pts[7]), mask[7])
+        assert regions(pts[:0]).shape == (0, len(preds))
+        if len(preds) > 1:
+            # rows on shared closed boundaries
+            assert (mask.sum(axis=-1) > 1).any()
+
+
 @pytest.mark.parametrize("name", list(strat_constructors()) + ["identity_scaling",
                                                                "identity_winding"])
 def test_placement_equals_the_locate_then_apply_reference(name, monkeypatch):
@@ -636,23 +802,19 @@ def test_placement_equals_the_locate_then_apply_reference(name, monkeypatch):
     m = identities[name] if name in identities else strat_constructors()[name]
     rng = np.random.default_rng(43)
     for mm in (m, m.inverted()):
-        pts = placement_points(mm, rng)
-        if name.startswith("scaling"):
-            # the sampled points miss the shared levels by rounding; these
-            # axis points lie on them exactly
-            levels = (1.0, mm.params["lam"])
-            pts = np.concatenate([pts] + [s * r * np.eye(mm.dim) for r in levels
-                                          for s in (1.0, -1.0)])
+        pts = np.concatenate([placement_points(mm, rng), shared_level_points(mm, rng)])
         calls = [pts, pts[None]] + list(pts[::97])
         got = [(mm.forward(c), mm.inverse(c), mm.piece_name(c)) for c in calls]
         # a composite's factors are placed by the reference too
         with monkeypatch.context() as mp:
             mp.setattr(stratmaps.StratMap, "forward",
                        lambda self, x: apply_reference(self, np.asarray(x, dtype=float),
-                                                       self.pieces))
+                                                       self.pieces,
+                                                       predicates_reference(self)[0]))
             mp.setattr(stratmaps.StratMap, "inverse",
                        lambda self, y: apply_reference(self, np.asarray(y, dtype=float),
-                                                       self.inv_pieces))
+                                                       self.inv_pieces,
+                                                       predicates_reference(self)[1]))
             mp.setattr(stratmaps.StratMap, "piece_name", piece_name_reference)
             want = [(mm.forward(c), mm.inverse(c), mm.piece_name(c)) for c in calls]
         for got_c, want_c in zip(got, want):
@@ -663,9 +825,10 @@ def test_placement_equals_the_locate_then_apply_reference(name, monkeypatch):
         names = mm.piece_name(pts)
         if mm.pieces:
             assert (names != "identity").any() and (names == "identity").any()
-        if len(mm.pieces) > 1:
-            # rows on shared closed boundaries, where the first match decides
-            assert (sum(p.contains(pts).astype(int) for p in mm.pieces) > 1).any()
+        for preds in predicates_reference(mm):
+            if len(preds) > 1:
+                # rows on shared closed boundaries, where the first match decides
+                assert (sum(contains(pts).astype(int) for contains in preds) > 1).any()
 
 
 def scaling_sampler_reference(gauge, dim, shell_hi):
